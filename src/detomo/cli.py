@@ -14,7 +14,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import io as dio
-from .crosstalk import FitConfig, Partition, analyze_povm
+from .crosstalk import Partition, analyze_povm
 from .entanglement import PPT_TOL, classify_povm
 from .operators import NumericalFailureError
 from .simulator import NOISE_KINDS, NoiseSpec, make_noisy_povm, sample_counts
@@ -76,14 +76,11 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     partitions = None
     if args.partitions:
         partitions = tuple(Partition.parse(text) for text in args.partitions)
-    cfg = FitConfig(restarts=args.restarts, seed=args.seed)
-    report = analyze_povm(povm, partitions, cfg)
+    report = analyze_povm(povm, partitions)
     ppt = classify_povm(povm, ppt_tol=args.ppt_tol)
 
     config = {
         "partitions": [p for p in (args.partitions or [])],
-        "restarts": args.restarts,
-        "seed": args.seed,
         "ppt_tol": args.ppt_tol,
     }
     metadata = {
@@ -218,8 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="partition like 0:1,2 (repeatable; default: full split plus bipartitions)",
     )
-    ana.add_argument("--restarts", type=int, default=16)
-    ana.add_argument("--seed", type=int, default=7)
     ana.add_argument("--ppt-tol", type=float, default=PPT_TOL)
     ana.add_argument("--format", choices=("json", "csv", "both"), default="both")
     ana.set_defaults(func=cmd_analyze)

@@ -10,11 +10,9 @@ over-explains the total error.
 
 from __future__ import annotations
 
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -34,9 +32,14 @@ from .operators import (
 # not certify crosstalk.
 DC_RESOLUTION = 1e-3
 
+# Elements with trace below this carry no usable signal; both the crosstalk
+# and the partial-transpose reports skip them.
 _SKIP_TRACE = 1e-10
 _TIE_TOL = 1e-9
 _DEDUPE_TOL = 1e-8
+_ALS_TOL = 1e-10
+_ALS_MAX_SWEEPS = 500
+_EARLY_STOP = 1e-10
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -117,18 +120,13 @@ def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    restarts: int = 16
-    seed: int = 7
-    als_tol: float = 1e-10
-    als_max_sweeps: int = 500
+    """Nelder-Mead evaluation budget of the polish; 0 skips the polish."""
+
     polish_max_fev: int = 2000
-    early_stop: float = 1e-10
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ValueError("restarts must be positive")
-        if self.als_max_sweeps < 1 or self.polish_max_fev < 0:
-            raise ValueError("iteration budgets must be positive")
+        if self.polish_max_fev < 0:
+            raise ValueError("polish_max_fev must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -197,8 +195,6 @@ def _als(
     tensor_target: np.ndarray,
     dims: Sequence[int],
     factors: list[np.ndarray],
-    tol: float,
-    max_sweeps: int,
 ) -> tuple[list[np.ndarray], np.ndarray, bool]:
     """Alternating closed-form updates of each block factor.
 
@@ -207,7 +203,7 @@ def _als(
     """
     nb = len(dims)
     prev = _kron_chain(factors)
-    for _ in range(max_sweeps):
+    for _ in range(_ALS_MAX_SWEEPS):
         for b in range(nb):
             others = [factors[i].conj() for i in range(nb) if i != b]
             w = np.einsum(_als_update_subscript(nb, b), tensor_target, *others, optimize=True)
@@ -219,7 +215,7 @@ def _als(
         prod = _kron_chain(factors)
         change = float(np.linalg.norm(prod - prev))
         prev = prod
-        if change < tol:
+        if change < _ALS_TOL:
             return factors, prod, True
     return factors, prod, False
 
@@ -286,35 +282,25 @@ def _polish(
     return factors, start_distance
 
 
-def _seed_factors(
-    index: int,
+def _seeds(
     tensor_target: np.ndarray,
     dims: Sequence[int],
     outcome_bits: list[str] | None,
-    rng: np.random.Generator,
-) -> list[np.ndarray]:
-    if index == 0:
-        return [_psd_unit_trace(pt) for pt in _block_partial_traces(tensor_target, dims)]
-    if index == 1:
-        factors = []
-        if outcome_bits is None:
-            traces = _block_partial_traces(tensor_target, dims)
-            picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
-        else:
-            picks = [int(bits, 2) for bits in outcome_bits]
-        for d, i in zip(dims, picks):
-            f = np.zeros((d, d), dtype=complex)
-            f[i, i] = 1.0
-            factors.append(f)
-        return factors
-    if index == 2:
-        return [np.eye(d, dtype=complex) / d for d in dims]
+) -> Iterator[list[np.ndarray]]:
+    """Block partial traces, then a basis projector, then maximally mixed."""
+    traces = _block_partial_traces(tensor_target, dims)
+    yield [_psd_unit_trace(pt) for pt in traces]
+    if outcome_bits is None:
+        picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
+    else:
+        picks = [int(bits, 2) for bits in outcome_bits]
     factors = []
-    for d in dims:
-        x = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        f = x @ x.conj().T
-        factors.append(f / f.trace().real)
-    return factors
+    for d, i in zip(dims, picks):
+        f = np.zeros((d, d), dtype=complex)
+        f[i, i] = 1.0
+        factors.append(f)
+    yield factors
+    yield [np.eye(d, dtype=complex) / d for d in dims]
 
 
 def fit_product(
@@ -327,15 +313,16 @@ def fit_product(
 
     Stage one runs alternating closed-form Frobenius updates from each seed;
     stage two polishes the trace distance itself with a Nelder-Mead search
-    over square-root factor parameters.  Seeds are the block partial traces,
-    a basis projector (the outcome's when given, else the dominant diagonal),
-    maximally mixed factors, and seeded random factors.  The fit is carried
-    out with the partition blocks permuted to contiguous axes, so a
-    consistent relabeling of qubits and partition sees an identical problem
-    and returns identical distances.
+    over square-root factor parameters.  The three seeds, in order, are the
+    block partial traces, a basis projector (the outcome's when given, else
+    the dominant diagonal) and maximally mixed factors; a seed whose first
+    stage ends where an earlier seed's did reuses that result instead of
+    polishing again.  The fit is carried out with the partition blocks
+    permuted to contiguous axes, so a consistent relabeling of qubits and
+    partition sees an identical problem and returns identical distances.
 
-    Ties across restarts within 1e-9 keep the earliest restart; the loop
-    exits early once a distance at the configured floor is found.
+    Ties across seeds within 1e-9 keep the earliest seed; the loop exits
+    early once a distance of 1e-10 or less is found.
     """
     cfg = config or FitConfig()
     labels = elem.qubit_labels
@@ -354,19 +341,13 @@ def fit_product(
         by_label = dict(zip(labels, outcome))
         outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
 
-    rng = np.random.default_rng(cfg.seed)
     best_distance = np.inf
     best_factors: list[np.ndarray] | None = None
     best_ok = False
-    restarts_used = 0
     cache: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
 
-    for r in range(cfg.restarts):
-        factors0 = _seed_factors(r, tensor_target, dims, outcome_bits, rng)
-        factors1, prod1, als_ok = _als(
-            tensor_target, dims, list(factors0), cfg.als_tol, cfg.als_max_sweeps
-        )
-        restarts_used = r + 1
+    for restarts_used, factors0 in enumerate(_seeds(tensor_target, dims, outcome_bits), 1):
+        factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
 
         hit = next(
             (c for c in cache if float(np.abs(c[0] - prod1).max()) < _DEDUPE_TOL), None
@@ -384,7 +365,7 @@ def fit_product(
             best_distance = dist
             best_factors = factors
             best_ok = als_ok
-        if best_distance <= cfg.early_stop:
+        if best_distance <= _EARLY_STOP:
             break
 
     assert best_factors is not None
@@ -453,18 +434,32 @@ def _clip01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
+def usable_elements(povm: Povm) -> tuple[list[tuple[str, NormalizedElement]], tuple[str, ...]]:
+    """(outcome, normalized element) pairs, and the skipped outcomes.
+
+    Elements with trace below 1e-10 carry no usable signal and are skipped
+    instead of being normalized.
+    """
+    usable = []
+    skipped = []
+    for outcome in povm.outcomes:
+        element = povm.element(outcome)
+        if element.trace() < _SKIP_TRACE:
+            skipped.append(outcome)
+        else:
+            usable.append((outcome, normalize(element)))
+    return usable, tuple(skipped)
+
+
 def analyze_povm(
     povm: Povm,
     partitions: Sequence[Partition] | None = None,
     config: FitConfig | None = None,
-    workers: int | None = None,
 ) -> CrosstalkReport:
     """Total/crosstalk/local error decomposition for every element.
 
     Elements with trace below 1e-10 carry no usable signal and are listed in
-    skipped_outcomes instead of being normalized.  Fits fan out over
-    (outcome, partition) tasks when QDT_THREADS (or workers) exceeds one;
-    results merge by task index, so the report does not depend on scheduling.
+    skipped_outcomes instead of being normalized.
     """
     cfg = config or FitConfig()
     parts = tuple(partitions) if partitions is not None else default_partitions(povm.qubit_labels)
@@ -472,48 +467,32 @@ def analyze_povm(
         if p.covered != frozenset(povm.qubit_labels):
             raise ValueError(f"partition {p.label()} does not cover qubits {povm.qubit_labels}")
 
-    if workers is None:
-        workers = max(1, int(os.environ.get("QDT_THREADS", "1") or "1"))
-
-    tasks = []
-    skipped = []
-    for outcome in povm.outcomes:
-        element = povm.element(outcome)
-        if element.trace() < _SKIP_TRACE:
-            skipped.append(outcome)
-            continue
-        elem = normalize(element)
+    usable, skipped = usable_elements(povm)
+    rows = []
+    for outcome, elem in usable:
         d_n = total_error(elem, outcome)
         for partition in parts:
-            tasks.append((outcome, elem, d_n, partition))
-
-    def run(task) -> CrosstalkRow:
-        outcome, elem, d_n, partition = task
-        fit = fit_product(elem, partition, cfg, outcome)
-        d_c = fit.distance
-        d_l = local_error(fit, outcome)
-        return CrosstalkRow(
-            outcome=outcome,
-            partition=partition.label(),
-            d_n=_clip01(d_n),
-            d_c=_clip01(d_c),
-            d_l_star=_clip01(d_l),
-            converged=fit.converged,
-            restarts_used=fit.restarts_used,
-            triangle_residual=d_n - (d_c + d_l),
-            resolved=d_c > DC_RESOLUTION,
-        )
-
-    if workers > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(run, tasks))
-    else:
-        rows = tuple(run(t) for t in tasks)
+            fit = fit_product(elem, partition, cfg, outcome)
+            d_c = fit.distance
+            d_l = local_error(fit, outcome)
+            rows.append(
+                CrosstalkRow(
+                    outcome=outcome,
+                    partition=partition.label(),
+                    d_n=_clip01(d_n),
+                    d_c=_clip01(d_c),
+                    d_l_star=_clip01(d_l),
+                    converged=fit.converged,
+                    restarts_used=fit.restarts_used,
+                    triangle_residual=d_n - (d_c + d_l),
+                    resolved=d_c > DC_RESOLUTION,
+                )
+            )
 
     return CrosstalkReport(
         qubit_labels=povm.qubit_labels,
-        rows=rows,
-        skipped_outcomes=tuple(skipped),
+        rows=tuple(rows),
+        skipped_outcomes=skipped,
     )
 
 

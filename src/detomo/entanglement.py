@@ -13,12 +13,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, NormalizedElement, Povm, normalize
-from .crosstalk import Partition, bipartitions
+from .operators import HermitianOperator, NormalizedElement, Povm
+from .crosstalk import Partition, bipartitions, usable_elements
 
 PPT_TOL = 1e-7
-
-_SKIP_TRACE = 1e-10
 
 
 def partial_transpose(op: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
@@ -116,14 +114,9 @@ class PptReport:
 
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
     """Classify every element; elements with trace < 1e-10 are skipped."""
+    usable, skipped = usable_elements(povm)
     rows = []
-    skipped = []
-    for outcome in povm.outcomes:
-        element = povm.element(outcome)
-        if element.trace() < _SKIP_TRACE:
-            skipped.append(outcome)
-            continue
-        elem = normalize(element)
+    for outcome, elem in usable:
         for v in classify_bipartitions(elem, ppt_tol):
             rows.append(
                 PptRow(
@@ -138,6 +131,6 @@ def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
     return PptReport(
         qubit_labels=povm.qubit_labels,
         rows=tuple(rows),
-        skipped_outcomes=tuple(skipped),
+        skipped_outcomes=skipped,
         ppt_tol=ppt_tol,
     )

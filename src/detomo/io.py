@@ -51,6 +51,11 @@ class SchemaError(ValueError):
     """An input file does not match its documented schema."""
 
 
+def _is_int(x) -> bool:
+    """An integer JSON value; JSON true/false load as bool, an int subclass."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def measured(x: float, decimals: int = MEASURED_DECIMALS) -> float:
     """x rounded to `decimals` places by round(), with -0.0 written as 0.0."""
     return round(float(x), decimals) + 0.0
@@ -91,13 +96,15 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
             raise SchemaError(f"{where}: missing key {key!r}")
     dim = doc["dim"]
     labels = doc["labels"]
-    if not isinstance(dim, int) or dim < 2:
+    if not _is_int(dim) or dim < 2:
         raise SchemaError(f"{where}: dim must be an integer >= 2, got {dim!r}")
     try:
         re = np.asarray(doc["re"], dtype=float)
         im = np.asarray(doc["im"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: matrix entries are not numeric: {exc}") from exc
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise SchemaError(f"{where}: matrix entries must be finite numbers")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise SchemaError(
             f"{where}: matrix shape {re.shape}/{im.shape} does not match dim {dim}"
@@ -123,7 +130,7 @@ def povm_from_dict(doc: dict) -> Povm:
     if not isinstance(doc, dict) or "n" not in doc or "elements" not in doc:
         raise SchemaError("POVM document needs keys 'n' and 'elements'")
     n = doc["n"]
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise SchemaError(f"POVM qubit count must be a positive integer, got {n!r}")
     elements = doc["elements"]
     if not isinstance(elements, dict):
@@ -161,13 +168,14 @@ def load_povm(path: str | Path) -> Povm:
 
 def validate_counts(doc: dict) -> None:
     """Raise SchemaError naming the offending record if the document is bad."""
-    if doc.get("version") != 1:
-        raise SchemaError(f"counts version must be 1, got {doc.get('version')!r}")
+    version = doc.get("version")
+    if not _is_int(version) or version != 1:
+        raise SchemaError(f"counts version must be 1, got {version!r}")
     qubits = doc.get("qubits")
     if (
         not isinstance(qubits, list)
         or not qubits
-        or any(not isinstance(q, int) for q in qubits)
+        or any(not _is_int(q) for q in qubits)
         or len(set(qubits)) != len(qubits)
     ):
         raise SchemaError(f"counts 'qubits' must be a list of distinct integers, got {qubits!r}")
@@ -183,7 +191,7 @@ def validate_counts(doc: dict) -> None:
         if not isinstance(labels, list) or len(labels) != n:
             raise SchemaError(f"{where}: 'labels' must list one state label per qubit")
         shots = rec.get("shots")
-        if not isinstance(shots, int) or shots < 1:
+        if not _is_int(shots) or shots < 1:
             raise SchemaError(f"{where}: 'shots' must be a positive integer, got {shots!r}")
         counts = rec.get("counts")
         if not isinstance(counts, dict):
@@ -192,7 +200,7 @@ def validate_counts(doc: dict) -> None:
         for key, value in counts.items():
             if len(key) != n or any(c not in "01" for c in key):
                 raise SchemaError(f"{where}: outcome key {key!r} is not a {n}-bit string")
-            if not isinstance(value, int) or value < 0:
+            if not _is_int(value) or value < 0:
                 raise SchemaError(f"{where}: count for {key!r} must be a non-negative integer")
             total += value
         if total != shots:

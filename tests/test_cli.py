@@ -5,7 +5,7 @@ import subprocess
 
 import pytest
 
-from detomo import analyze_povm, ideal_povm, load_povm, make_noisy_povm, NoiseSpec, save_povm, validate_povm
+from detomo import ideal_povm, load_povm, make_noisy_povm, NoiseSpec, save_povm, validate_povm
 from detomo.cli import main
 
 
@@ -122,6 +122,34 @@ def test_reconstruct_rejects_inconsistent_counts(tmp_path):
     assert run_cli("reconstruct", "--counts", str(path), "--out", str(tmp_path / "p.json")) == 3
 
 
+def _set_first_record(doc, **fields):
+    doc["preparations"][0].update(fields)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: _set_first_record(doc, counts={"0": True}, shots=1),
+        lambda doc: _set_first_record(doc, counts={"0": 1}, shots=True),
+        lambda doc: doc.update(qubits=[True]),
+        lambda doc: doc.update(version=True),
+    ],
+    ids=["bool-count", "bool-shots", "bool-qubit", "bool-version"],
+)
+def test_reconstruct_rejects_bool_where_int_expected(tmp_path, capsys, mutate):
+    counts = tmp_path / "counts.json"
+    run_cli(
+        "simulate", "--n", "1", "--noise", "local_flip", "--shots", "32",
+        "--out", str(counts),
+    )
+    doc = json.loads(counts.read_text())
+    mutate(doc)
+    counts.write_text(json.dumps(doc))
+    code = run_cli("reconstruct", "--counts", str(counts), "--out", str(tmp_path / "p.json"))
+    assert code == 3
+    assert "schema error" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -167,6 +195,41 @@ def test_analyze_rejects_malformed_partition(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _set_entry(doc, part, value):
+    doc["elements"]["00"][part][0][0] = value
+
+
+@pytest.mark.parametrize(
+    "n, mutate",
+    [
+        (2, lambda doc: _set_entry(doc, "re", float("nan"))),
+        (2, lambda doc: _set_entry(doc, "re", float("inf"))),
+        (2, lambda doc: _set_entry(doc, "im", float("-inf"))),
+        (2, lambda doc: doc["elements"]["00"].update(dim=True)),
+        (1, lambda doc: doc.update(n=True)),
+    ],
+    ids=["nan-entry", "inf-entry", "minus-inf-entry", "bool-dim", "bool-n"],
+)
+def test_analyze_rejects_malformed_povm_file(tmp_path, capsys, n, mutate):
+    povm_path = tmp_path / "bad.json"
+    save_povm(ideal_povm(n), povm_path)
+    doc = json.loads(povm_path.read_text())
+    mutate(doc)
+    povm_path.write_text(json.dumps(doc))  # NaN/Infinity as json.loads accepts them
+    code = run_cli("analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"))
+    assert code == 3
+    assert "schema error" in capsys.readouterr().err
+
+
+def test_analyze_rejects_removed_fit_flags(tmp_path):
+    povm_path = tmp_path / "ideal.json"
+    save_povm(ideal_povm(2), povm_path)
+    for flag in ("--restarts", "--seed"):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"), flag, "3")
+        assert exc.value.code == 2
+
+
 def test_analyze_reruns_are_identical_up_to_timestamp(tmp_path):
     povm_path = tmp_path / "noisy.json"
     save_povm(make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.6)), povm_path)
@@ -180,14 +243,6 @@ def test_analyze_reruns_are_identical_up_to_timestamp(tmp_path):
     assert docs[0] == docs[1]
     assert (tmp_path / "a.crosstalk.csv").read_bytes() == (tmp_path / "b.crosstalk.csv").read_bytes()
     assert (tmp_path / "a.ppt.csv").read_bytes() == (tmp_path / "b.ppt.csv").read_bytes()
-
-
-def test_analyze_thread_env_var_does_not_change_results(monkeypatch):
-    povm = make_noisy_povm(2, NoiseSpec(kind="entangled", p=0.3))
-    serial = analyze_povm(povm, workers=1)
-    monkeypatch.setenv("QDT_THREADS", "2")
-    threaded = analyze_povm(povm)
-    assert serial.rows == threaded.rows
 
 
 # ------------------------------------------------------------------- report
@@ -205,7 +260,7 @@ CROSSTALK_DOC = {
             "D_C": 0.02191,
             "D_L_star": 0.11592,
             "converged": True,
-            "restarts_used": 16,
+            "restarts_used": 3,
             "triangle_residual": -0.022,
             "resolved": True,
         },
@@ -217,7 +272,7 @@ CROSSTALK_DOC = {
             "D_C": 0.0004,
             "D_L_star": 0.1,
             "converged": True,
-            "restarts_used": 16,
+            "restarts_used": 3,
             "triangle_residual": -0.0004,
             "resolved": False,
         },
