@@ -115,11 +115,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def _render_crosstalk(doc: dict) -> str:
     lines = [f"Crosstalk report, qubits {doc['qubits']}"]
-    partitions = []
-    for row in doc["rows"]:
-        if row["partition"] not in partitions:
-            partitions.append(row["partition"])
-    for part in partitions:
+    for part in dict.fromkeys(row["partition"] for row in doc["rows"]):
         lines.append(f"\npartition {part}")
         lines.append(f"{'outcome':>8}  {'D_N':>8}  {'D_C':>8}  {'D_L*':>8}")
         for row in doc["rows"]:
@@ -137,22 +133,13 @@ def _render_crosstalk(doc: dict) -> str:
 
 def _render_ppt(doc: dict) -> str:
     lines = [f"Partial-transpose report, qubits {doc['qubits']} (tol {doc['ppt_tol']:g})"]
-    bipartitions = []
-    for row in doc["rows"]:
-        if row["bipartition"] not in bipartitions:
-            bipartitions.append(row["bipartition"])
+    bipartitions = list(dict.fromkeys(row["bipartition"] for row in doc["rows"]))
     header = f"{'outcome':>8}  " + "  ".join(f"{bp:>12}" for bp in bipartitions)
     lines.append(header)
-    outcomes = []
-    for row in doc["rows"]:
-        if row["outcome"] not in outcomes:
-            outcomes.append(row["outcome"])
     by_key = {(r["outcome"], r["bipartition"]): r for r in doc["rows"]}
-    for outcome in outcomes:
-        cells = []
-        for bp in bipartitions:
-            r = by_key[(outcome, bp)]
-            cells.append(f"{r['verdict']} {r['min_eigenvalue']:+8.4f}")
+    for outcome in dict.fromkeys(row["outcome"] for row in doc["rows"]):
+        rows = [by_key[(outcome, bp)] for bp in bipartitions]
+        cells = [f"{r['verdict']} {r['min_eigenvalue']:+8.4f}" for r in rows]
         lines.append(f"{outcome:>8}  " + "  ".join(f"{c:>12}" for c in cells))
     if any(r["verdict"] == "N" for r in doc["rows"]):
         bad = sorted({r["outcome"] for r in doc["rows"] if r["verdict"] == "N"})

@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 from typing import Iterator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .operators import (
     HermitianOperator,
@@ -26,6 +26,7 @@ from .operators import (
     permute_qubits,
     tensor,
     trace_distance,
+    trace_norm,
 )
 
 # D_C values at or below this sit inside the optimizer's own tolerance and do
@@ -40,6 +41,9 @@ _DEDUPE_TOL = 1e-8
 _ALS_TOL = 1e-10
 _ALS_MAX_SWEEPS = 500
 _EARLY_STOP = 1e-10
+# The polish smooths the trace norm as tr√(Δ²+μ²I), for each μ in turn.
+_SMOOTHING = (1e-3, 1e-5, 1e-7, 1e-9)
+_START_MIX = 1e-6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
@@ -120,7 +124,7 @@ def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Nelder-Mead evaluation budget of the polish; 0 skips the polish."""
+    """BFGS steps of the polish per smoothing stage; 0 skips the polish."""
 
     polish_max_fev: int = 2000
 
@@ -159,16 +163,11 @@ def _psd_unit_trace(matrix: np.ndarray) -> np.ndarray:
 
 
 def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    m = factors[0]
-    for f in factors[1:]:
-        m = np.kron(m, f)
-    return m
+    return reduce(np.kron, factors)
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    diff = 0.5 * (diff + diff.conj().T)
-    return 0.5 * float(np.abs(np.linalg.eigvalsh(diff)).sum())
+    return 0.5 * trace_norm(a - b)
 
 
 def _block_partial_traces(tensor_target: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
@@ -198,8 +197,8 @@ def _als(
 ) -> tuple[list[np.ndarray], np.ndarray, bool]:
     """Alternating closed-form updates of each block factor.
 
-    Each factor minimizes the squared Frobenius distance given the others,
-    then is projected back to the PSD unit-trace set.
+    Each factor takes its closed-form Frobenius least-squares value given the
+    others, then is projected back to the PSD unit-trace set.
     """
     nb = len(dims)
     prev = _kron_chain(factors)
@@ -220,40 +219,56 @@ def _als(
     return factors, prod, False
 
 
-def _pack(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Concatenate lower-triangular square-root parameters of each factor."""
-    params: list[float] = []
-    for f in factors:
-        d = f.shape[0]
-        low = np.linalg.cholesky(f + 1e-10 * np.eye(d))
-        params.extend(low[i, i].real for i in range(d))
-        for i in range(d):
-            for j in range(i):
-                params.append(low[i, j].real)
-                params.append(low[i, j].imag)
-    return np.array(params)
+def _unroot(x: np.ndarray, dims: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Roots A_b packed in x as real and imaginary parts, and F_b = A_b A_b†/tr(A_b A_b†)."""
+    blocks = np.split(x.view(complex), np.cumsum([d * d for d in dims])[:-1])
+    roots = [a.reshape(d, d) for a, d in zip(blocks, dims)]
+    return roots, [a @ a.conj().T / np.vdot(a, a).real for a in roots]
 
 
-def _unpack(x: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    factors = []
-    k = 0
-    for d in dims:
-        low = np.zeros((d, d), dtype=complex)
-        for i in range(d):
-            low[i, i] = x[k]
-            k += 1
-        for i in range(d):
-            for j in range(i):
-                low[i, j] = x[k] + 1j * x[k + 1]
-                k += 2
-        f = low @ low.conj().T
-        tr = f.trace().real
-        if tr < 1e-30:
-            f = np.eye(d, dtype=complex) / d
-        else:
-            f = f / tr
-        factors.append(f)
-    return factors
+def _smoothed(
+    canon: np.ndarray, dims: Sequence[int], x: np.ndarray, mu: float
+) -> tuple[float, np.ndarray]:
+    """½ tr√(Δ²+μ²I) at Δ = canon − ⊗F_b, and its gradient in the roots packed in x."""
+    nb = len(dims)
+    roots, factors = _unroot(x, dims)
+    evals, vecs = np.linalg.eigh(canon - _kron_chain(factors))
+    smooth = np.sqrt(evals**2 + mu**2)
+    g = ((vecs * (evals / smooth)) @ vecs.conj().T).reshape(tuple(dims) * 2)
+    grads = []
+    for b in range(nb):
+        others = [factors[i].conj() for i in range(nb) if i != b]
+        d_f = -0.5 * np.einsum(_als_update_subscript(nb, b), g, *others)
+        d_f -= float(np.vdot(factors[b], d_f).real) * np.eye(dims[b])
+        grads.append((2.0 / np.vdot(roots[b], roots[b]).real) * (d_f @ roots[b]).ravel())
+    return 0.5 * float(smooth.sum()), np.concatenate(grads).view(float)
+
+
+def _bfgs(fun, x: np.ndarray, h: np.ndarray, max_steps: int) -> np.ndarray:
+    """BFGS with Armijo backtracking from x, updating the inverse Hessian h in place.
+
+    Stops after max_steps steps, or when no step that still moves x decreases fun.
+    """
+    f, g = fun(x)
+    for _ in range(max_steps):
+        p = -h @ g
+        slope = float(g @ p)
+        t = 1.0
+        while True:
+            x_new = x + t * p
+            if np.array_equal(x_new, x):
+                return x
+            f_new, g_new = fun(x_new)
+            if f_new < f + 1e-4 * t * slope:
+                break
+            t *= 0.5
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            hy = h @ y
+            h += ((sy + y @ hy) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+        x, f, g = x_new, f_new, g_new
+    return x
 
 
 def _polish(
@@ -261,25 +276,30 @@ def _polish(
     dims: Sequence[int],
     factors: list[np.ndarray],
     start_distance: float,
-    max_fev: int,
+    max_steps: int,
 ) -> tuple[list[np.ndarray], float]:
-    if max_fev == 0:
+    """BFGS on the factor roots against the trace norm smoothed at shrinking μ.
+
+    Each stage starts where the previous one ended, with its curvature
+    estimate; the end point with the smallest true distance wins, or the
+    starting factors if none improves.
+    """
+    if max_steps == 0:
         return factors, start_distance
-
-    def objective(x: np.ndarray) -> float:
-        return _distance(canon, _kron_chain(_unpack(x, dims)))
-
-    res = minimize(
-        objective,
-        _pack(factors),
-        method="Nelder-Mead",
-        options={"maxfev": max_fev, "xatol": 1e-5, "fatol": 1e-10, "adaptive": True},
-    )
-    cand = _unpack(res.x, dims)
-    dist = _distance(canon, _kron_chain(cand))
-    if dist < start_distance:
-        return cand, dist
-    return factors, start_distance
+    # A little identity lets a rank-deficient factor grow rank: a zero
+    # column of its root would never receive gradient.
+    mixed = [(1.0 - _START_MIX) * f + _START_MIX * np.eye(d) / d for f, d in zip(factors, dims)]
+    roots = [(v * np.sqrt(np.clip(w, 0.0, None))).ravel() for w, v in map(np.linalg.eigh, mixed)]
+    x = np.concatenate(roots).view(float)
+    h = np.eye(x.size)
+    best, best_distance = factors, start_distance
+    for mu in _SMOOTHING:
+        x = _bfgs(lambda z: _smoothed(canon, dims, z, mu), x, h, max_steps)
+        cand = _unroot(x, dims)[1]
+        dist = _distance(canon, _kron_chain(cand))
+        if dist < best_distance:
+            best, best_distance = cand, dist
+    return best, best_distance
 
 
 def _seeds(
@@ -294,12 +314,7 @@ def _seeds(
         picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
     else:
         picks = [int(bits, 2) for bits in outcome_bits]
-    factors = []
-    for d, i in zip(dims, picks):
-        f = np.zeros((d, d), dtype=complex)
-        f[i, i] = 1.0
-        factors.append(f)
-    yield factors
+    yield [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
     yield [np.eye(d, dtype=complex) / d for d in dims]
 
 
@@ -312,8 +327,9 @@ def fit_product(
     """Nearest product element across a partition, by two-stage local search.
 
     Stage one runs alternating closed-form Frobenius updates from each seed;
-    stage two polishes the trace distance itself with a Nelder-Mead search
-    over square-root factor parameters.  The three seeds, in order, are the
+    stage two polishes the trace distance itself by BFGS over square roots
+    of the factors, on the smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3,
+    1e-5, 1e-7 and 1e-9 in turn.  The three seeds, in order, are the
     block partial traces, a basis projector (the outcome's when given, else
     the dominant diagonal) and maximally mixed factors; a seed whose first
     stage ends where an earlier seed's did reuses that result instead of

@@ -56,6 +56,15 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number_matrix(rows, dim: int) -> bool:
+    """A dim x dim list of JSON numbers; strings and true/false do not count."""
+    return isinstance(rows, list) and len(rows) == dim and all(
+        isinstance(row, list) and len(row) == dim
+        and all(_is_int(v) or isinstance(v, float) for v in row)
+        for row in rows
+    )
+
+
 def measured(x: float, decimals: int = MEASURED_DECIMALS) -> float:
     """x rounded to `decimals` places by round(), with -0.0 written as 0.0."""
     return round(float(x), decimals) + 0.0
@@ -98,17 +107,12 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
     labels = doc["labels"]
     if not _is_int(dim) or dim < 2:
         raise SchemaError(f"{where}: dim must be an integer >= 2, got {dim!r}")
-    try:
-        re = np.asarray(doc["re"], dtype=float)
-        im = np.asarray(doc["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: matrix entries are not numeric: {exc}") from exc
+    if not (_is_number_matrix(doc["re"], dim) and _is_number_matrix(doc["im"], dim)):
+        raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of numbers")
+    re = np.asarray(doc["re"], dtype=float)
+    im = np.asarray(doc["im"], dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise SchemaError(f"{where}: matrix entries must be finite numbers")
-    if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise SchemaError(
-            f"{where}: matrix shape {re.shape}/{im.shape} does not match dim {dim}"
-        )
     if not isinstance(labels, list) or 2 ** len(labels) != dim:
         raise SchemaError(f"{where}: labels {labels!r} do not match dim {dim}")
     try:

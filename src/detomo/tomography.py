@@ -35,6 +35,9 @@ _MUB_KETS = {
 
 _PURITY_TOL = 1e-12
 _FREQ_COLUMN_TOL = 1e-12
+# Lower clips of Born probabilities and of normalization-operator eigenvalues.
+_PROB_FLOOR = 1e-12
+_EIG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -137,16 +140,12 @@ class FrequencyTable:
 class MleConfig:
     epsilon: float = 1e-6
     max_iters: int = 10000
-    prob_floor: float = 1e-12
-    eig_floor: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         if self.max_iters < 1:
             raise ValueError("max_iters must be positive")
-        if self.prob_floor <= 0.0 or self.eig_floor <= 0.0:
-            raise ValueError("floors must be positive")
 
 
 @dataclass
@@ -160,11 +159,6 @@ class MleDiagnostics:
     deltas: np.ndarray = field(repr=False)
     completeness_residuals: np.ndarray = field(repr=False)
     min_eigenvalues: np.ndarray = field(repr=False)
-
-
-def mub_kets() -> dict[str, np.ndarray]:
-    """Single-qubit probe kets keyed by state label."""
-    return {k: v.copy() for k, v in _MUB_KETS.items()}
 
 
 def preparations_from_labels(
@@ -210,19 +204,15 @@ def _born_matrix(elements: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.einsum("ist,kts->ik", elements, states, optimize=True).real
 
 
-def log_likelihood(
-    povm: Povm, freq: FrequencyTable, preps: PreparationSet, prob_floor: float = 1e-12
-) -> float:
+def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
     """Sum of f[i,k] * log tr[M_i rho_k] with the 0*log(0) = 0 convention."""
     m = np.stack([e.matrix for e in povm.elements])
-    return _log_likelihood_raw(m, freq.frequencies, preps.states, prob_floor)
+    return _log_likelihood_raw(m, freq.frequencies, preps.states)
 
 
-def _log_likelihood_raw(
-    elements: np.ndarray, f: np.ndarray, states: np.ndarray, prob_floor: float
-) -> float:
+def _log_likelihood_raw(elements: np.ndarray, f: np.ndarray, states: np.ndarray) -> float:
     p = _born_matrix(elements, states)
-    terms = np.where(f > 0.0, f * np.log(np.clip(p, prob_floor, None)), 0.0)
+    terms = np.where(f > 0.0, f * np.log(np.clip(p, _PROB_FLOOR, None)), 0.0)
     return float(terms.sum())
 
 
@@ -275,7 +265,7 @@ def mle_reconstruct(
     eye = np.eye(d, dtype=complex)
     m = np.repeat(eye[None] / d, num_outcomes, axis=0)
 
-    logliks = [_log_likelihood_raw(m, f, rho, cfg.prob_floor)]
+    logliks = [_log_likelihood_raw(m, f, rho)]
     deltas: list[float] = []
     completeness: list[float] = []
     min_eigs: list[float] = []
@@ -283,7 +273,7 @@ def mle_reconstruct(
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        p = np.clip(_born_matrix(m, rho), cfg.prob_floor, None)
+        p = np.clip(_born_matrix(m, rho), _PROB_FLOOR, None)
         w = f / p
         g = np.einsum("ik,kst->ist", w, rho, optimize=True)
         s = np.einsum("ist,itu,iuv->sv", g, m, g, optimize=True)
@@ -293,7 +283,7 @@ def mle_reconstruct(
         evals, vecs = np.linalg.eigh(s)
         if not np.all(np.isfinite(evals)) or evals.max() <= 0.0:
             raise NumericalFailureError("singular normalization operator in MLE update")
-        inv_sqrt = (vecs * np.clip(evals, cfg.eig_floor, None) ** -0.5) @ vecs.conj().T
+        inv_sqrt = (vecs * np.clip(evals, _EIG_FLOOR, None) ** -0.5) @ vecs.conj().T
         a = np.einsum("st,itu->isu", inv_sqrt, g, optimize=True)
         m_new = a @ m @ a.conj().transpose(0, 2, 1)
         m_new = 0.5 * (m_new + m_new.conj().transpose(0, 2, 1))
@@ -303,7 +293,7 @@ def mle_reconstruct(
         deltas.append(delta)
         completeness.append(float(np.abs(m_new.sum(axis=0) - eye).max()))
         min_eigs.append(float(np.linalg.eigvalsh(m_new).min()))
-        logliks.append(_log_likelihood_raw(m_new, f, rho, cfg.prob_floor))
+        logliks.append(_log_likelihood_raw(m_new, f, rho))
         m = m_new
         iterations += 1
         if delta < cfg.epsilon:

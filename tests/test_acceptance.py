@@ -234,11 +234,13 @@ def _normalized(path: Path) -> str:
     return re.sub(r'"created_at": "[^"]*"', '"created_at": "T"', text)
 
 
-# D_L* and the triangle residual depend on where the Nelder-Mead polish stops
-# (xatol 1e-5), not only on the distance it reaches, so across BLAS builds
-# they agree to 1e-5 only (README, "Crosstalk fits"). They are cut out of the
-# text and compared numerically; every other byte is compared exactly.
-_UNPINNED_TOL = 1e-5
+# D_L* and the triangle residual depend on where the BFGS polish stops, not
+# only on the distance it reaches: the nearest product sits in a valley so
+# flat that D_C changes by 1e-13 where D_L* changes by 1e-9. Across BLAS
+# builds they are trusted to 1e-6 (README, "Crosstalk fits"). They are cut
+# out of the text and compared numerically; every other byte is compared
+# exactly.
+_UNPINNED_TOL = 1e-6
 _UNPINNED = (
     re.compile(r'("(?:D_L_star|triangle_residual)": )([^,\n]+)'),  # report JSON
     re.compile(r"(,)([^,\n]+)(?=,(?:True|False),\d+$)", re.M),  # crosstalk CSV D_L_star

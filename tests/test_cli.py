@@ -1,7 +1,10 @@
 import importlib.metadata
 import json
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -207,8 +210,13 @@ def _set_entry(doc, part, value):
         (2, lambda doc: _set_entry(doc, "im", float("-inf"))),
         (2, lambda doc: doc["elements"]["00"].update(dim=True)),
         (1, lambda doc: doc.update(n=True)),
+        (2, lambda doc: _set_entry(doc, "re", "1.0")),
+        (2, lambda doc: _set_entry(doc, "im", False)),
     ],
-    ids=["nan-entry", "inf-entry", "minus-inf-entry", "bool-dim", "bool-n"],
+    ids=[
+        "nan-entry", "inf-entry", "minus-inf-entry", "bool-dim", "bool-n",
+        "string-entry", "bool-entry",
+    ],
 )
 def test_analyze_rejects_malformed_povm_file(tmp_path, capsys, n, mutate):
     povm_path = tmp_path / "bad.json"
@@ -338,6 +346,18 @@ def test_report_without_inputs_is_usage_error(capsys):
 
 
 # -------------------------------------------------------------- entry point
+
+
+def test_runtime_imports_numpy_only():
+    import detomo
+
+    src = str(Path(detomo.__file__).resolve().parent.parent)
+    code = "import sys, detomo, detomo.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 def _distribution_installed(name: str) -> bool:

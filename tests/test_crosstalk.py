@@ -15,6 +15,7 @@ from detomo import (
     assignment_matrix,
     basis_projector,
     bipartitions,
+    counts_to_tables,
     crosstalk_error,
     default_partitions,
     fit_product,
@@ -23,7 +24,12 @@ from detomo import (
     local_error,
     make_noisy_povm,
     mitigate_histogram,
+    mle_reconstruct,
+    mub_preparations,
+    normalize,
     permute_qubits,
+    round_povm,
+    sample_counts,
     tensor,
     total_error,
     trace_distance,
@@ -36,6 +42,11 @@ from product_scan_oracle import nearest_product_distance
 # match their closed forms: sqrt(2) - 1 and 1/sqrt(2).
 ORACLE_CLASSICAL_CORR_DC = 0.4142136
 ORACLE_BELL_DC = 0.7071068
+# nearest_product_distance with default settings on local_flip_reconstruction(),
+# recorded from tests/ with
+#   PYTHONPATH=../src python -c "from test_crosstalk import *;
+#   print(f'{nearest_product_distance(local_flip_reconstruction().matrix)[0]:.10f}')"
+ORACLE_LOCAL_FLIP_DC = 0.0111994754
 
 SPLIT_01 = Partition(((0,), (1,)))
 
@@ -50,6 +61,16 @@ def bell_element() -> NormalizedElement:
     v = np.zeros(4, dtype=complex)
     v[0] = v[3] = 1.0 / np.sqrt(2.0)
     return NormalizedElement(HermitianOperator(np.outer(v, v.conj()), (0, 1)))
+
+
+def local_flip_reconstruction() -> NormalizedElement:
+    """Element "00" of a shot-noisy local_flip reconstruction, as the CLI stores it."""
+    seed = 1292817571
+    truth = make_noisy_povm(2, NoiseSpec("local_flip", p=0.086, seed=seed))
+    doc = sample_counts(truth, mub_preparations(2), shots=8192, seed=seed)
+    preps, freq = counts_to_tables(doc)
+    povm, _ = mle_reconstruct(freq, preps)
+    return normalize(round_povm(povm).element("00"))
 
 
 # ---------------------------------------------------------------- partitions
@@ -148,6 +169,13 @@ def test_fit_product_bell_matches_frozen_oracle():
     fit = fit_product(bell_element(), SPLIT_01, outcome="00")
     assert fit.distance == pytest.approx(ORACLE_BELL_DC, abs=1e-5)
     assert fit.distance > 0.3
+
+
+def test_fit_product_reaches_frozen_oracle_on_shot_noisy_element():
+    # D_C is an upper bound from a local search; on this element a search
+    # that stops early sits 1.3e-4 above the brute-force scan.
+    fit = fit_product(local_flip_reconstruction(), SPLIT_01, outcome="00")
+    assert fit.distance <= ORACLE_LOCAL_FLIP_DC + 1e-6
 
 
 def test_reduced_oracle_rescan_agrees_with_frozen_values():
