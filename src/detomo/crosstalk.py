@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -190,6 +190,17 @@ def _als_update_subscript(nb: int, b: int) -> str:
     return ",".join(operands) + "->" + rows[b] + cols[b]
 
 
+@lru_cache(maxsize=None)
+def _als_update_path(dims: tuple[int, ...], b: int) -> tuple:
+    """The contraction path einsum(optimize=True) picks for an ALS update of block b.
+
+    The path depends on the operand shapes only, so it is searched once per
+    (dims, b) instead of on every update.
+    """
+    operands = [np.empty(dims * 2)] + [np.empty((d, d)) for i, d in enumerate(dims) if i != b]
+    return tuple(np.einsum_path(_als_update_subscript(len(dims), b), *operands, optimize=True)[0])
+
+
 def _als(
     tensor_target: np.ndarray,
     dims: Sequence[int],
@@ -205,7 +216,10 @@ def _als(
     for _ in range(_ALS_MAX_SWEEPS):
         for b in range(nb):
             others = [factors[i].conj() for i in range(nb) if i != b]
-            w = np.einsum(_als_update_subscript(nb, b), tensor_target, *others, optimize=True)
+            w = np.einsum(
+                _als_update_subscript(nb, b), tensor_target, *others,
+                optimize=_als_update_path(tuple(dims), b),
+            )
             scale = 1.0
             for i in range(nb):
                 if i != b:

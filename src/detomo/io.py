@@ -113,7 +113,9 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
     im = np.asarray(doc["im"], dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise SchemaError(f"{where}: matrix entries must be finite numbers")
-    if not isinstance(labels, list) or 2 ** len(labels) != dim:
+    if not isinstance(labels, list) or any(not _is_int(q) for q in labels):
+        raise SchemaError(f"{where}: labels must be a list of integers, got {labels!r}")
+    if 2 ** len(labels) != dim:
         raise SchemaError(f"{where}: labels {labels!r} do not match dim {dim}")
     try:
         return HermitianOperator(re + 1j * im, tuple(labels))
@@ -145,7 +147,10 @@ def povm_from_dict(doc: dict) -> Povm:
         if outcome not in elements:
             raise SchemaError(f"POVM document is missing element for outcome {outcome!r}")
         ops.append(operator_from_dict(elements[outcome], where=f"element {outcome!r}"))
-    return Povm(tuple(ops))
+    try:
+        return Povm(tuple(ops))
+    except ValueError as exc:
+        raise SchemaError(f"POVM document: {exc}") from exc
 
 
 def _dump_json(doc: dict, path: str | Path) -> None:

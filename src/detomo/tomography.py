@@ -23,29 +23,55 @@ from .operators import (
 
 MUB_LABELS = ("0", "1", "+", "-", "+i", "-i")
 
-_SQRT2 = np.sqrt(2.0)
-_MUB_KETS = {
-    "0": np.array([1.0, 0.0], dtype=complex),
-    "1": np.array([0.0, 1.0], dtype=complex),
-    "+": np.array([1.0, 1.0], dtype=complex) / _SQRT2,
-    "-": np.array([1.0, -1.0], dtype=complex) / _SQRT2,
-    "+i": np.array([1.0, 1.0j], dtype=complex) / _SQRT2,
-    "-i": np.array([1.0, -1.0j], dtype=complex) / _SQRT2,
-}
+# Single-qubit MUB kets in MUB_LABELS order.
+_MUB_KETS = np.array(
+    [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [1.0, -1.0], [1.0, 1.0j], [1.0, -1.0j]], dtype=complex
+)
+_MUB_KETS[2:] /= np.sqrt(2.0)
+_MUB_INDEX = {label: j for j, label in enumerate(MUB_LABELS)}
+# _MUB_MAP[(s, t), j] = <t|j><j|s>, so tr(X |j><j|) = sum_st X[s, t] _MUB_MAP[(s, t), j].
+_MUB_MAP = np.einsum("jt,js->stj", _MUB_KETS, _MUB_KETS.conj()).reshape(4, 6)
 
-_PURITY_TOL = 1e-12
+_STATE_TOL = 1e-12
 _FREQ_COLUMN_TOL = 1e-12
 # Lower clips of Born probabilities and of normalization-operator eigenvalues.
 _PROB_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 
 
+def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
+    """Per-qubit MUB indices, shape (K, n), of product-state label tuples."""
+    index = np.zeros((len(label_tuples), n), dtype=np.int64)
+    for k, labels in enumerate(label_tuples):
+        if len(labels) != n:
+            raise ValueError(f"label tuple {labels!r} does not match {n} qubits")
+        for q, label in enumerate(labels):
+            if not isinstance(label, str) or label not in _MUB_INDEX:
+                raise ValueError(f"unknown preparation label {label!r}")
+            index[k, q] = _MUB_INDEX[label]
+    return index
+
+
+def _product_states(index: np.ndarray) -> np.ndarray:
+    """Density matrices (K, 2**n, 2**n) of the product kets named by index (K, n).
+
+    The kets are built in np.kron's multiplication order, so each state is
+    bitwise the outer product of the np.kron chain of its single-qubit kets.
+    """
+    ket = np.ones((index.shape[0], 1), dtype=complex)
+    for q in range(index.shape[1]):
+        k_q = _MUB_KETS[index[:, q]]
+        ket = (ket[:, :, None] * k_q[:, None, :]).reshape(index.shape[0], -1)
+    return ket[:, :, None] * ket.conj()[:, None, :]
+
+
 @dataclass(frozen=True)
 class PreparationSet:
     """Pure product probe states with their per-qubit state labels.
 
-    states has shape (num_preparations, 2**n, 2**n); every state must be a
-    rank-one projector.
+    The labels define the probes: states has shape
+    (num_preparations, 2**n, 2**n) and must equal the product of the
+    labelled single-qubit MUB projectors, state by state.
     """
 
     n: int
@@ -66,16 +92,11 @@ class PreparationSet:
         qubits = tuple(self.qubit_labels) if self.qubit_labels else tuple(range(self.n))
         if len(qubits) != self.n:
             raise ValueError(f"{len(qubits)} qubit labels given for n={self.n}")
-        herm = np.abs(states - states.conj().transpose(0, 2, 1)).max()
-        if herm > _PURITY_TOL:
-            raise ValueError(f"states must be Hermitian, max asymmetry {herm:.3e}")
-        traces = np.einsum("kss->k", states).real
-        if np.abs(traces - 1.0).max() > _PURITY_TOL:
-            raise ValueError("states must have unit trace")
-        purity = np.einsum("kst,kts->k", states, states).real
-        if np.abs(purity - 1.0).max() > _PURITY_TOL:
+        index = _label_index(self.labels, self.n)
+        worst = np.abs(states - _product_states(index)).max(initial=0.0)
+        if worst > _STATE_TOL:
             raise ValueError(
-                f"states must be rank-one projectors, worst purity {purity.min():.12f}"
+                f"states must be the products of their labels' kets, max deviation {worst:.3e}"
             )
         states = states.copy()
         states.flags.writeable = False
@@ -90,6 +111,59 @@ class PreparationSet:
     @property
     def dim(self) -> int:
         return 2**self.n
+
+
+class _BornMap:
+    """The Born map of a preparation set and its adjoint, through per-qubit factors.
+
+    probabilities(m)[i, k] = tr(M_i rho_k) and adjoint(w)[i] = sum_k w[i, k] rho_k.
+    Every rho_k is a product of single-qubit MUB projectors, so both maps
+    contract one qubit at a time with the 4 x 6 map _MUB_MAP over the full
+    grid of 6**n label tuples; the probes' columns are then gathered (or
+    scatter-added, for the adjoint) by their flat label index, which allows
+    any order, subset or repetition of label tuples.
+    """
+
+    def __init__(self, preps: PreparationSet) -> None:
+        n = preps.n
+        self._n = n
+        self._d = 2**n
+        self._grid = 6**n
+        # flat index of each probe on the label grid, first qubit most significant
+        self._column = _label_index(preps.labels, n) @ (6 ** np.arange(n - 1, -1, -1))
+        self._bins = (np.arange(self._d)[:, None] * self._grid + self._column).ravel()
+        # (i, s_1..s_n, t_1..t_n) <-> (i, s_1, t_1, ..., s_n, t_n)
+        self._pairs = [0] + [a for q in range(n) for a in (1 + q, 1 + n + q)]
+        self._unpairs = list(np.argsort(self._pairs))
+
+    def _per_qubit(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
+        """Apply factor (a, b) to each of the n per-qubit axes of x (L, a**n)."""
+        size_in, size_out = factor.shape
+        rest, done = x.shape[1], 1
+        for _ in range(self._n):
+            rest //= size_in
+            # contract the last per-qubit axis and move its result to the front
+            x = (x.reshape(-1, size_in) @ factor).reshape(len(x), done * rest, size_out)
+            x = x.transpose(0, 2, 1).reshape(len(x), -1)
+            done *= size_out
+        return x
+
+    def probabilities(self, m: np.ndarray) -> np.ndarray:
+        """tr(M_i rho_k) for Hermitian elements m (L, D, D), shape (L, K)."""
+        paired = m.reshape((len(m),) + (2,) * (2 * self._n)).transpose(self._pairs)
+        grid = self._per_qubit(paired.reshape(len(m), -1), _MUB_MAP).real
+        return grid[:, self._column]
+
+    def clipped(self, m: np.ndarray) -> np.ndarray:
+        """The Born matrix clipped below at _PROB_FLOOR, as the likelihood uses it."""
+        return np.clip(self.probabilities(m), _PROB_FLOOR, None)
+
+    def adjoint(self, w: np.ndarray) -> np.ndarray:
+        """sum_k w[i, k] rho_k for real weights w (2**n, K), shape (2**n, D, D)."""
+        grid = np.bincount(self._bins, weights=w.ravel(), minlength=self._d * self._grid)
+        paired = self._per_qubit(grid.reshape(self._d, self._grid), _MUB_MAP.conj().T)
+        g = paired.reshape((self._d,) + (2,) * (2 * self._n)).transpose(self._unpairs)
+        return g.reshape(self._d, self._d, self._d)
 
 
 @dataclass(frozen=True)
@@ -168,20 +242,10 @@ def preparations_from_labels(
 ) -> PreparationSet:
     """Build product probe states from per-qubit state labels."""
     n = len(qubit_labels)
-    states = []
-    for labels in label_tuples:
-        if len(labels) != n:
-            raise ValueError(f"label tuple {labels!r} does not match {n} qubits")
-        ket = np.ones(1, dtype=complex)
-        for l in labels:
-            if l not in _MUB_KETS:
-                raise ValueError(f"unknown preparation label {l!r}")
-            ket = np.kron(ket, _MUB_KETS[l])
-        states.append(np.outer(ket, ket.conj()))
     return PreparationSet(
         n=n,
         labels=tuple(tuple(l) for l in label_tuples),
-        states=np.stack(states),
+        states=_product_states(_label_index(label_tuples, n)),
         qubit_labels=tuple(qubit_labels),
         shots_per_state=shots_per_state,
     )
@@ -199,21 +263,15 @@ def mub_preparations(n: int, shots_per_state: int = 8192) -> PreparationSet:
     return preparations_from_labels(label_tuples, tuple(range(n)), shots_per_state)
 
 
-def _born_matrix(elements: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """tr[M_i rho_k] for stacked elements (L,D,D) and states (K,D,D)."""
-    return np.einsum("ist,kts->ik", elements, states, optimize=True).real
-
-
 def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
     """Sum of f[i,k] * log tr[M_i rho_k] with the 0*log(0) = 0 convention."""
     m = np.stack([e.matrix for e in povm.elements])
-    return _log_likelihood_raw(m, freq.frequencies, preps.states)
+    return _log_likelihood(freq.frequencies, _BornMap(preps).clipped(m))
 
 
-def _log_likelihood_raw(elements: np.ndarray, f: np.ndarray, states: np.ndarray) -> float:
-    p = _born_matrix(elements, states)
-    terms = np.where(f > 0.0, f * np.log(np.clip(p, _PROB_FLOOR, None)), 0.0)
-    return float(terms.sum())
+def _log_likelihood(f: np.ndarray, p: np.ndarray) -> float:
+    """sum f * log p for clipped Born probabilities p > 0; f = 0 terms add exactly 0."""
+    return float((f * np.log(p)).sum())
 
 
 def _check_informationally_complete(preps: PreparationSet) -> None:
@@ -260,12 +318,14 @@ def mle_reconstruct(
         )
     _check_informationally_complete(preps)
 
-    rho = preps.states
+    born = _BornMap(preps)
     f = freq.frequencies
     eye = np.eye(d, dtype=complex)
     m = np.repeat(eye[None] / d, num_outcomes, axis=0)
+    # the clipped Born matrix of the current iterate, carried from step to step
+    p = born.clipped(m)
 
-    logliks = [_log_likelihood_raw(m, f, rho)]
+    logliks = [_log_likelihood(f, p)]
     deltas: list[float] = []
     completeness: list[float] = []
     min_eigs: list[float] = []
@@ -273,10 +333,8 @@ def mle_reconstruct(
     iterations = 0
 
     for _ in range(cfg.max_iters):
-        p = np.clip(_born_matrix(m, rho), _PROB_FLOOR, None)
-        w = f / p
-        g = np.einsum("ik,kst->ist", w, rho, optimize=True)
-        s = np.einsum("ist,itu,iuv->sv", g, m, g, optimize=True)
+        g = born.adjoint(f / p)
+        s = (g @ m @ g).sum(axis=0)
         if not np.all(np.isfinite(s)):
             raise NumericalFailureError("non-finite normalization operator in MLE update")
         s = 0.5 * (s + s.conj().T)
@@ -284,7 +342,7 @@ def mle_reconstruct(
         if not np.all(np.isfinite(evals)) or evals.max() <= 0.0:
             raise NumericalFailureError("singular normalization operator in MLE update")
         inv_sqrt = (vecs * np.clip(evals, _EIG_FLOOR, None) ** -0.5) @ vecs.conj().T
-        a = np.einsum("st,itu->isu", inv_sqrt, g, optimize=True)
+        a = inv_sqrt @ g
         m_new = a @ m @ a.conj().transpose(0, 2, 1)
         m_new = 0.5 * (m_new + m_new.conj().transpose(0, 2, 1))
 
@@ -293,7 +351,8 @@ def mle_reconstruct(
         deltas.append(delta)
         completeness.append(float(np.abs(m_new.sum(axis=0) - eye).max()))
         min_eigs.append(float(np.linalg.eigvalsh(m_new).min()))
-        logliks.append(_log_likelihood_raw(m_new, f, rho))
+        p = born.clipped(m_new)
+        logliks.append(_log_likelihood(f, p))
         m = m_new
         iterations += 1
         if delta < cfg.epsilon:

@@ -23,6 +23,7 @@ from detomo import (
     trace_distance,
     NoiseSpec,
 )
+from detomo.tomography import _BornMap
 
 
 def test_mub_preparations_single_qubit():
@@ -58,9 +59,77 @@ def test_preparation_set_rejects_mixed_states():
         PreparationSet(n=1, labels=(("0",),), states=mixed)
 
 
+def test_preparation_set_rejects_states_that_disagree_with_labels():
+    preps = mub_preparations(2)
+    swapped = preps.states[[1, 0] + list(range(2, preps.num_states))]
+    with pytest.raises(ValueError, match="products of their labels"):
+        PreparationSet(n=2, labels=preps.labels, states=swapped)
+
+
+@pytest.mark.parametrize("bad", [("0", "x"), ("0",), ("0", 1), ("0", ["1"])])
+def test_preparation_set_rejects_malformed_labels(bad):
+    preps = preparations_from_labels([("0", "1")], (0, 1))
+    with pytest.raises(ValueError):
+        PreparationSet(n=2, labels=(bad,), states=preps.states)
+
+
 def test_preparations_from_labels_rejects_unknown_label():
     with pytest.raises(ValueError):
         preparations_from_labels([("0", "x")], (0, 1))
+
+
+# The dense Born map and its adjoint, kept here as the reference for the
+# per-qubit contractions the reconstruction uses.
+def _dense_born(m, preps):
+    return np.einsum("ist,kts->ik", m, preps.states).real
+
+
+def _dense_adjoint(w, preps):
+    return np.einsum("ik,kst->ist", w, preps.states)
+
+
+def _label_lists(n, rng):
+    """The full MUB grid, then shuffled, subset and repeated label lists."""
+    full = list(mub_preparations(n).labels)
+    shuffled = [full[i] for i in rng.permutation(len(full))]
+    subset = [full[i] for i in np.sort(rng.choice(len(full), size=len(full) // 3, replace=False))]
+    repeated = [full[i] for i in rng.integers(0, len(full), size=len(full) + 5)]
+    return {"grid": full, "shuffled": shuffled, "subset": subset, "repeated": repeated}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_born_map_matches_dense_oracle(n):
+    rng = np.random.default_rng(100 + n)
+    d = 2**n
+    x = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    m = 0.5 * (x + x.conj().transpose(0, 2, 1))
+    for kind, labels in _label_lists(n, rng).items():
+        preps = preparations_from_labels(labels, tuple(range(n)))
+        born = _BornMap(preps)
+        w = rng.standard_normal((d, preps.num_states))
+        np.testing.assert_allclose(
+            born.probabilities(m), _dense_born(m, preps), rtol=0, atol=1e-13, err_msg=kind
+        )
+        np.testing.assert_allclose(
+            born.adjoint(w), _dense_adjoint(w, preps), rtol=0, atol=1e-13, err_msg=kind
+        )
+
+
+def test_mle_and_likelihood_ignore_probe_order():
+    povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
+    preps = mub_preparations(2)
+    freq = exact_frequency_table(povm, preps)
+    order = np.random.default_rng(3).permutation(preps.num_states)
+    shuffled = preparations_from_labels([preps.labels[k] for k in order], (0, 1))
+    freq_shuffled = FrequencyTable(freq.frequencies[:, order], freq.shots[order])
+    assert log_likelihood(povm, freq_shuffled, shuffled) == pytest.approx(
+        log_likelihood(povm, freq, preps), abs=1e-12
+    )
+    rec, diag = mle_reconstruct(freq, preps)
+    rec_shuffled, diag_shuffled = mle_reconstruct(freq_shuffled, shuffled)
+    assert diag_shuffled.iterations == diag.iterations
+    for a, b in zip(rec.elements, rec_shuffled.elements):
+        assert np.abs(a.matrix - b.matrix).max() <= 1e-10
 
 
 def test_frequency_table_requires_unit_columns():
@@ -195,7 +264,7 @@ def test_mle_rejects_informationally_incomplete_sets():
     preps = mub_preparations(1)
     # six copies of |0> span a single ray: rank-deficient probe set
     states = np.repeat(preps.states[:1], 6, axis=0)
-    flat = PreparationSet(n=1, labels=preps.labels, states=states)
+    flat = PreparationSet(n=1, labels=(("0",),) * 6, states=states)
     freq = FrequencyTable(np.full((2, 6), 0.5), np.full(6, 100))
     with pytest.raises(ValueError, match="span"):
         mle_reconstruct(freq, flat)
