@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from typing import Iterator, Sequence
+from functools import lru_cache
+from typing import Generator, Iterator, Sequence
 
 import numpy as np
 
@@ -163,7 +163,14 @@ def _psd_unit_trace(matrix: np.ndarray) -> np.ndarray:
 
 
 def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    return reduce(np.kron, factors)
+    """⊗F_b of (..., d_b, d_b) factors, each entry multiplied left to right as reduce(np.kron)."""
+    out = factors[0]
+    for f in factors[1:]:
+        m, d = out.shape[-1], f.shape[-1]
+        out = (out[..., :, None, :, None] * f[..., None, :, None, :]).reshape(
+            out.shape[:-2] + (m * d, m * d)
+        )
+    return out
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -233,37 +240,80 @@ def _als(
     return factors, prod, False
 
 
-def _unroot(x: np.ndarray, dims: Sequence[int]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Roots A_b packed in x as real and imaginary parts, and F_b = A_b A_b†/tr(A_b A_b†)."""
-    blocks = np.split(x.view(complex), np.cumsum([d * d for d in dims])[:-1])
-    roots = [a.reshape(d, d) for a, d in zip(blocks, dims)]
-    return roots, [a @ a.conj().T / np.vdot(a, a).real for a in roots]
+# Leading axis of the stacked polish contractions: one row per problem.
+_BATCH = "z"
+
+# What the polish generators yield, (mu, x), and are sent back, (f, g).
+_Polish = Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], tuple]
+
+
+@lru_cache(maxsize=None)
+def _plan(dims: tuple[int, ...]) -> tuple[tuple[slice, str, np.ndarray], ...]:
+    """Per block: its root's slice of the packed complex vector, the stacked
+    gradient contraction (the ALS update with a leading batch letter) and its identity."""
+    nb = len(dims)
+    plan, end = [], 0
+    for b, d in enumerate(dims):
+        ins, out = _als_update_subscript(nb, b).split("->")
+        subscript = ",".join(_BATCH + op for op in ins.split(",")) + "->" + _BATCH + out
+        eye = np.eye(d)
+        eye.flags.writeable = False
+        plan.append((slice(end, end + d * d), subscript, eye))
+        end += d * d
+    return tuple(plan)
+
+
+def _unroot(
+    x: np.ndarray, dims: tuple[int, ...]
+) -> tuple[list[np.ndarray], list[np.ndarray], list[np.ndarray]]:
+    """Per block, for each row of x (B, 2·Σd_b²) packing roots A_b as real and
+    imaginary parts: A_b (B, d_b, d_b), tr(A_b A_b†) (B,), and F_b = A_b A_b†/tr(A_b A_b†)."""
+    packed = x.view(complex)
+    roots, norms, factors = [], [], []
+    for (block, _, _), d in zip(_plan(dims), dims):
+        a = packed[:, block].reshape(-1, d, d)
+        # per-row vdot: a stacked sum of |A|² differs from it in the last bits
+        norm = np.array([np.vdot(row, row).real for row in a])
+        roots.append(a)
+        norms.append(norm)
+        factors.append(a @ a.conj().transpose(0, 2, 1) / norm[:, None, None])
+    return roots, norms, factors
 
 
 def _smoothed(
-    canon: np.ndarray, dims: Sequence[int], x: np.ndarray, mu: float
-) -> tuple[float, np.ndarray]:
-    """½ tr√(Δ²+μ²I) at Δ = canon − ⊗F_b, and its gradient in the roots packed in x."""
-    nb = len(dims)
-    roots, factors = _unroot(x, dims)
-    evals, vecs = np.linalg.eigh(canon - _kron_chain(factors))
-    smooth = np.sqrt(evals**2 + mu**2)
-    g = ((vecs * (evals / smooth)) @ vecs.conj().T).reshape(tuple(dims) * 2)
+    canons: np.ndarray, dims: tuple[int, ...], x: np.ndarray, mu: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """½ tr√(Δ²+μ²I) at Δ = canon − ⊗F_b, and its gradient in the roots packed in x.
+
+    Stacked over problems: canons (B, D, D), x (B, 2·Σd_b²), mu (B,); row k
+    of both results is bitwise what problem k alone gives.
+    """
+    roots, norms, factors = _unroot(x, dims)
+    evals, vecs = np.linalg.eigh(canons - _kron_chain(factors))
+    smooth = np.sqrt(evals**2 + (mu**2)[:, None])
+    g = (vecs * (evals / smooth)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    g = g.reshape((len(x),) + dims * 2)
     grads = []
-    for b in range(nb):
-        others = [factors[i].conj() for i in range(nb) if i != b]
-        d_f = -0.5 * np.einsum(_als_update_subscript(nb, b), g, *others)
-        d_f -= float(np.vdot(factors[b], d_f).real) * np.eye(dims[b])
-        grads.append((2.0 / np.vdot(roots[b], roots[b]).real) * (d_f @ roots[b]).ravel())
-    return 0.5 * float(smooth.sum()), np.concatenate(grads).view(float)
+    for b, (_, subscript, eye) in enumerate(_plan(dims)):
+        others = [f.conj() for i, f in enumerate(factors) if i != b]
+        d_f = -0.5 * np.einsum(subscript, g, *others)
+        along = np.array([np.vdot(f, d).real for f, d in zip(factors[b], d_f)])
+        d_f -= along[:, None, None] * eye
+        grads.append(((2.0 / norms[b])[:, None, None] * (d_f @ roots[b])).reshape(len(x), -1))
+    return 0.5 * smooth.sum(axis=1), np.concatenate(grads, axis=1).view(float)
 
 
-def _bfgs(fun, x: np.ndarray, h: np.ndarray, max_steps: int) -> np.ndarray:
+def _bfgs(
+    x: np.ndarray, h: np.ndarray, mu: float, max_steps: int
+) -> Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], np.ndarray]:
     """BFGS with Armijo backtracking from x, updating the inverse Hessian h in place.
 
-    Stops after max_steps steps, or when no step that still moves x decreases fun.
+    Minimizes the trace norm smoothed at mu: yields each trial point (mu, x)
+    and is sent the objective and gradient there.  Stops after max_steps
+    steps, or when no step that still moves x decreases the objective, and
+    returns the end point.
     """
-    f, g = fun(x)
+    f, g = yield mu, x
     for _ in range(max_steps):
         p = -h @ g
         slope = float(g @ p)
@@ -272,7 +322,7 @@ def _bfgs(fun, x: np.ndarray, h: np.ndarray, max_steps: int) -> np.ndarray:
             x_new = x + t * p
             if np.array_equal(x_new, x):
                 return x
-            f_new, g_new = fun(x_new)
+            f_new, g_new = yield mu, x_new
             if f_new < f + 1e-4 * t * slope:
                 break
             t *= 0.5
@@ -287,16 +337,17 @@ def _bfgs(fun, x: np.ndarray, h: np.ndarray, max_steps: int) -> np.ndarray:
 
 def _polish(
     canon: np.ndarray,
-    dims: Sequence[int],
+    dims: tuple[int, ...],
     factors: list[np.ndarray],
     start_distance: float,
     max_steps: int,
-) -> tuple[list[np.ndarray], float]:
+) -> _Polish:
     """BFGS on the factor roots against the trace norm smoothed at shrinking μ.
 
     Each stage starts where the previous one ended, with its curvature
     estimate; the end point with the smallest true distance wins, or the
-    starting factors if none improves.
+    starting factors if none improves.  A generator driven by _lockstep; it
+    returns (factors, distance).
     """
     if max_steps == 0:
         return factors, start_distance
@@ -308,12 +359,40 @@ def _polish(
     h = np.eye(x.size)
     best, best_distance = factors, start_distance
     for mu in _SMOOTHING:
-        x = _bfgs(lambda z: _smoothed(canon, dims, z, mu), x, h, max_steps)
-        cand = _unroot(x, dims)[1]
+        x = yield from _bfgs(x, h, mu, max_steps)
+        cand = [f[0] for f in _unroot(x[None], dims)[2]]
         dist = _distance(canon, _kron_chain(cand))
         if dist < best_distance:
             best, best_distance = cand, dist
     return best, best_distance
+
+
+def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polish]]) -> list[tuple]:
+    """Drive (canon, polish generator) problems side by side, with one stacked
+    _smoothed call per round; returns what each generator returns, in order."""
+    results: list[tuple] = [()] * len(problems)
+    trials: dict[int, tuple[float, np.ndarray]] = {}
+
+    def advance(k: int, reply: tuple[float, np.ndarray] | None) -> None:
+        try:
+            trials[k] = problems[k][1].send(reply)
+        except StopIteration as stop:
+            trials.pop(k, None)
+            results[k] = stop.value
+
+    for k in range(len(problems)):
+        advance(k, None)
+    while trials:
+        live = list(trials)
+        f, g = _smoothed(
+            np.stack([problems[k][0] for k in live]),
+            dims,
+            np.stack([trials[k][1] for k in live]),
+            np.array([trials[k][0] for k in live]),
+        )
+        for row, k in enumerate(live):
+            advance(k, (float(f[row]), g[row]))
+    return results
 
 
 def _seeds(
@@ -330,6 +409,107 @@ def _seeds(
         picks = [int(bits, 2) for bits in outcome_bits]
     yield [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
     yield [np.eye(d, dtype=complex) / d for d in dims]
+
+
+def _seed_order(dists: Sequence[float]) -> tuple[int, int]:
+    """The winning seed and the number of seeds used, replaying the serial rule.
+
+    Seeds are taken in order; a later seed wins only if it beats the best by
+    more than 1e-9, and the search stops once the best is 1e-10 or less.
+    """
+    best = used = 0
+    for used, dist in enumerate(dists, 1):
+        if dist < dists[best] - _TIE_TOL:
+            best = used - 1
+        if dists[best] <= _EARLY_STOP:
+            break
+    return best, used
+
+
+def fit_products(
+    items: Sequence[tuple[NormalizedElement, str | None]],
+    partition: Partition,
+    config: FitConfig | None = None,
+) -> list[ProductFit]:
+    """fit_product for each (element, outcome) pair across one partition.
+
+    The seeds, ALS runs and dedupe are per element, as in fit_product.  The
+    polishes of all elements and seeds then run side by side, one stacked
+    objective evaluation per step (_lockstep); each keeps its own BFGS
+    trajectory bit for bit.  The seed-order rules are replayed per element
+    afterwards, so every fit is identical to a lone fit_product call.  Seeds
+    after an early stop that needed a polish to show itself are polished too,
+    and then ignored.
+    """
+    cfg = config or FitConfig()
+    if len(partition.blocks) < 2:
+        raise ValueError("crosstalk queries need at least two blocks")
+    concat = [q for b in partition.blocks for q in b]
+    dims = tuple(2 ** len(b) for b in partition.blocks)
+
+    # (distance, factors) per distinct ALS end point; polished ones are filled in below
+    ends: list[tuple[float, list[np.ndarray]]] = []
+    tried: list[list[tuple[int, bool]]] = []  # per item: (end point, ALS converged) per seed
+    queued: list[int] = []  # the end points to polish, one problem each
+    problems: list[tuple[np.ndarray, _Polish]] = []
+    for elem, outcome in items:
+        labels = elem.qubit_labels
+        if partition.covered != frozenset(labels):
+            raise ValueError(f"partition {partition.label()} does not cover qubits {labels}")
+        canon = permute_qubits(elem.op, concat).matrix
+        tensor_target = canon.reshape(dims * 2)
+        outcome_bits = None
+        if outcome is not None:
+            by_label = dict(zip(labels, outcome))
+            outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
+
+        seeds: list[tuple[int, bool]] = []
+        seen: list[tuple[np.ndarray, int]] = []
+        for factors0 in _seeds(tensor_target, dims, outcome_bits):
+            factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
+            end = next(
+                (e for prod, e in seen if float(np.abs(prod - prod1).max()) < _DEDUPE_TOL), None
+            )
+            if end is None:
+                end = len(ends)
+                dist = _distance(canon, prod1)
+                ends.append((dist, factors1))
+                seen.append((prod1, end))
+                if dist > _TIE_TOL:
+                    queued.append(end)
+                    problems.append(
+                        (canon, _polish(canon, dims, factors1, dist, cfg.polish_max_fev))
+                    )
+            seeds.append((end, als_ok))
+            # with no polish pending, the early stop is already decided
+            if not any(e in queued for e, _ in seeds):
+                dists = [ends[e][0] for e, _ in seeds]
+                if dists[_seed_order(dists)[0]] <= _EARLY_STOP:
+                    break
+        tried.append(seeds)
+
+    for end, (factors, dist) in zip(queued, _lockstep(dims, problems)):
+        ends[end] = (dist, factors)
+
+    fits = []
+    for (elem, _), seeds in zip(items, tried):
+        best, used = _seed_order([ends[e][0] for e, _ in seeds])
+        end, als_ok = seeds[best]
+        dist, factors = ends[end]
+        fits.append(
+            ProductFit(
+                partition=partition,
+                factors=tuple(
+                    NormalizedElement(HermitianOperator(f, block))
+                    for f, block in zip(factors, partition.blocks)
+                ),
+                distance=float(dist),
+                restarts_used=used,
+                converged=als_ok,
+                qubit_labels=elem.qubit_labels,
+            )
+        )
+    return fits
 
 
 def fit_product(
@@ -351,66 +531,11 @@ def fit_product(
     permuted to contiguous axes, so a consistent relabeling of qubits and
     partition sees an identical problem and returns identical distances.
 
-    Ties across seeds within 1e-9 keep the earliest seed; the loop exits
-    early once a distance of 1e-10 or less is found.
+    Ties across seeds within 1e-9 keep the earliest seed; the search stops
+    once a distance of 1e-10 or less is found.  This is fit_products with one
+    item.
     """
-    cfg = config or FitConfig()
-    labels = elem.qubit_labels
-    if partition.covered != frozenset(labels):
-        raise ValueError(f"partition {partition.label()} does not cover qubits {labels}")
-    if len(partition.blocks) < 2:
-        raise ValueError("crosstalk queries need at least two blocks")
-
-    concat = [q for b in partition.blocks for q in b]
-    canon = permute_qubits(elem.op, concat).matrix
-    dims = [2 ** len(b) for b in partition.blocks]
-    tensor_target = canon.reshape(tuple(dims) * 2)
-
-    outcome_bits = None
-    if outcome is not None:
-        by_label = dict(zip(labels, outcome))
-        outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
-
-    best_distance = np.inf
-    best_factors: list[np.ndarray] | None = None
-    best_ok = False
-    cache: list[tuple[np.ndarray, float, list[np.ndarray]]] = []
-
-    for restarts_used, factors0 in enumerate(_seeds(tensor_target, dims, outcome_bits), 1):
-        factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
-
-        hit = next(
-            (c for c in cache if float(np.abs(c[0] - prod1).max()) < _DEDUPE_TOL), None
-        )
-        if hit is not None:
-            dist, factors = hit[1], hit[2]
-        else:
-            dist = _distance(canon, prod1)
-            factors = factors1
-            if dist > _TIE_TOL:
-                factors, dist = _polish(canon, dims, factors1, dist, cfg.polish_max_fev)
-            cache.append((prod1, dist, factors))
-
-        if dist < best_distance - _TIE_TOL:
-            best_distance = dist
-            best_factors = factors
-            best_ok = als_ok
-        if best_distance <= _EARLY_STOP:
-            break
-
-    assert best_factors is not None
-    normalized = tuple(
-        NormalizedElement(HermitianOperator(f, block))
-        for f, block in zip(best_factors, partition.blocks)
-    )
-    return ProductFit(
-        partition=partition,
-        factors=normalized,
-        distance=float(best_distance),
-        restarts_used=restarts_used,
-        converged=best_ok,
-        qubit_labels=labels,
-    )
+    return fit_products([(elem, outcome)], partition, config)[0]
 
 
 def total_error(elem: NormalizedElement, outcome: str) -> float:
@@ -498,11 +623,13 @@ def analyze_povm(
             raise ValueError(f"partition {p.label()} does not cover qubits {povm.qubit_labels}")
 
     usable, skipped = usable_elements(povm)
+    items = [(elem, outcome) for outcome, elem in usable]
+    by_partition = [fit_products(items, partition, cfg) for partition in parts]
     rows = []
-    for outcome, elem in usable:
+    for k, (outcome, elem) in enumerate(usable):
         d_n = total_error(elem, outcome)
-        for partition in parts:
-            fit = fit_product(elem, partition, cfg, outcome)
+        for partition, fits in zip(parts, by_partition):
+            fit = fits[k]
             d_c = fit.distance
             d_l = local_error(fit, outcome)
             rows.append(

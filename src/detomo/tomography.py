@@ -31,6 +31,11 @@ _MUB_KETS[2:] /= np.sqrt(2.0)
 _MUB_INDEX = {label: j for j, label in enumerate(MUB_LABELS)}
 # _MUB_MAP[(s, t), j] = <t|j><j|s>, so tr(X |j><j|) = sum_st X[s, t] _MUB_MAP[(s, t), j].
 _MUB_MAP = np.einsum("jt,js->stj", _MUB_KETS, _MUB_KETS.conj()).reshape(4, 6)
+# Pauli coordinates (tr ρ, tr ρX, tr ρY, tr ρZ) of the MUB states in MUB_LABELS order.
+_MUB_BLOCH = np.array(
+    [[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]],
+    dtype=float,
+)
 
 _STATE_TOL = 1e-12
 _FREQ_COLUMN_TOL = 1e-12
@@ -52,16 +57,20 @@ def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
     return index
 
 
-def _product_states(index: np.ndarray) -> np.ndarray:
-    """Density matrices (K, 2**n, 2**n) of the product kets named by index (K, n).
+def _kron_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """Row k is the np.kron chain of table[index[k, q]] over the qubits q.
 
-    The kets are built in np.kron's multiplication order, so each state is
-    bitwise the outer product of the np.kron chain of its single-qubit kets.
+    Built in np.kron's multiplication order, so each row is bitwise that chain.
     """
-    ket = np.ones((index.shape[0], 1), dtype=complex)
+    rows = np.ones((index.shape[0], 1), dtype=table.dtype)
     for q in range(index.shape[1]):
-        k_q = _MUB_KETS[index[:, q]]
-        ket = (ket[:, :, None] * k_q[:, None, :]).reshape(index.shape[0], -1)
+        rows = (rows[:, :, None] * table[index[:, q]][:, None, :]).reshape(index.shape[0], -1)
+    return rows
+
+
+def _product_states(index: np.ndarray) -> np.ndarray:
+    """Density matrices (K, 2**n, 2**n) of the product kets named by index (K, n)."""
+    ket = _kron_rows(_MUB_KETS, index)
     return ket[:, :, None] * ket.conj()[:, None, :]
 
 
@@ -274,6 +283,16 @@ def _log_likelihood(f: np.ndarray, p: np.ndarray) -> float:
     return float((f * np.log(p)).sum())
 
 
+def _operator_rank(preps: PreparationSet) -> int:
+    """Dimension of the real span of the preparation states.
+
+    Products of Paulis are a real basis of the Hermitian operators, so this
+    is the rank of the states' Pauli coordinates (K, 4**n), each row a
+    product of its qubits' MUB Pauli coordinates.
+    """
+    return int(np.linalg.matrix_rank(_kron_rows(_MUB_BLOCH, _label_index(preps.labels, preps.n))))
+
+
 def _check_informationally_complete(preps: PreparationSet) -> None:
     d = preps.dim
     k = preps.num_states
@@ -281,9 +300,7 @@ def _check_informationally_complete(preps: PreparationSet) -> None:
         raise ValueError(
             f"need at least {d * d} informationally complete preparations, got {k}"
         )
-    flat = preps.states.reshape(k, d * d)
-    real = np.concatenate([flat.real, flat.imag], axis=1)
-    rank = np.linalg.matrix_rank(real)
+    rank = _operator_rank(preps)
     if rank < d * d:
         raise ValueError(
             f"preparation states span only {rank} of {d * d} operator dimensions"

@@ -19,6 +19,7 @@ from detomo import (
     crosstalk_error,
     default_partitions,
     fit_product,
+    fit_products,
     full_split,
     ideal_povm,
     local_error,
@@ -35,6 +36,7 @@ from detomo import (
     trace_distance,
     NoiseSpec,
 )
+from detomo.crosstalk import _smoothed, usable_elements
 from product_scan_oracle import nearest_product_distance
 
 # Frozen outputs of tests/product_scan_oracle.py (1e6-point Bloch-pair scan
@@ -251,6 +253,76 @@ def test_local_error_uses_fitted_factors():
     fit = fit_product(elem, SPLIT_01, outcome="00")
     assert fit.distance <= 1e-6  # (0.9|0><0| + 0.1|1><1|) (x) |0><0| is a product
     assert local_error(fit, "00") == pytest.approx(0.1, abs=1e-5)
+
+
+# ------------------------------------------------------------ stacked polish
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2, 2)])
+def test_stacked_smoothed_rows_equal_lone_calls(dims):
+    rng = np.random.default_rng(sum(dims) * len(dims))
+    n = sum(d.bit_length() - 1 for d in dims)
+    canons = np.stack([random_element(n, rng).matrix for _ in range(5)])
+    x = rng.standard_normal((5, 2 * sum(d * d for d in dims)))
+    mu = np.array([1e-3, 1e-5, 1e-7, 1e-9, 1e-3])
+    f, g = _smoothed(canons, dims, x, mu)
+    for k in range(5):
+        f_k, g_k = _smoothed(canons[k : k + 1], dims, x[k : k + 1].copy(), mu[k : k + 1])
+        assert np.array_equal(f_k[0], f[k])
+        assert np.array_equal(g_k[0], g[k])
+
+
+def _assert_same_fit(a, b):
+    assert a.distance == b.distance
+    assert a.restarts_used == b.restarts_used
+    assert a.converged == b.converged
+    assert len(a.factors) == len(b.factors)
+    for fa, fb in zip(a.factors, b.factors):
+        assert fa.qubit_labels == fb.qubit_labels
+        assert np.array_equal(fa.matrix, fb.matrix)
+
+
+def classical_corr_reconstruction_n3() -> Povm:
+    """A shot-noisy n=3 classical_corr reconstruction, as the CLI stores it."""
+    seed = 1160112201
+    truth = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3, seed=seed))
+    doc = sample_counts(truth, mub_preparations(3), shots=8192, seed=seed)
+    preps, freq = counts_to_tables(doc)
+    povm, _ = mle_reconstruct(freq, preps)
+    return round_povm(povm)
+
+
+def test_analyze_rows_equal_lone_fits():
+    povm = classical_corr_reconstruction_n3()
+    parts = default_partitions(povm.qubit_labels)
+    report = analyze_povm(povm, parts)
+    usable, _ = usable_elements(povm)
+    rows = iter(report.rows)
+    for outcome, elem in usable:
+        for partition in parts:
+            row = next(rows)
+            lone = fit_product(elem, partition, outcome=outcome)
+            assert (row.outcome, row.partition) == (outcome, partition.label())
+            assert row.d_c == min(max(lone.distance, 0.0), 1.0)
+            assert row.d_l_star == min(max(local_error(lone, outcome), 0.0), 1.0)
+            assert row.restarts_used == lone.restarts_used
+            assert row.converged == lone.converged
+    items = [(elem, outcome) for outcome, elem in usable]
+    partition = parts[0]
+    for (elem, outcome), fit in zip(items, fit_products(items, partition)):
+        _assert_same_fit(fit, fit_product(elem, partition, outcome=outcome))
+
+
+def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
+    rng = np.random.default_rng(31)
+    a = random_element(1, rng, labels=(0,))
+    b = random_element(1, rng, labels=(1,))
+    product = NormalizedElement(tensor([a.op, b.op]))
+    fits = fit_products([(product, None), (bell_element(), "00")], SPLIT_01)
+    assert fits[0].restarts_used == 1
+    _assert_same_fit(fits[0], fit_product(product, SPLIT_01))
+    _assert_same_fit(fits[1], fit_product(bell_element(), SPLIT_01, outcome="00"))
+    assert fits[1].restarts_used > 1
 
 
 # ------------------------------------------------------------------ analyze

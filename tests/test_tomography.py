@@ -23,7 +23,7 @@ from detomo import (
     trace_distance,
     NoiseSpec,
 )
-from detomo.tomography import _BornMap
+from detomo.tomography import MUB_LABELS, _BornMap, _operator_rank
 
 
 def test_mub_preparations_single_qubit():
@@ -268,6 +268,31 @@ def test_mle_rejects_informationally_incomplete_sets():
     freq = FrequencyTable(np.full((2, 6), 0.5), np.full(6, 100))
     with pytest.raises(ValueError, match="span"):
         mle_reconstruct(freq, flat)
+
+
+# The dense real span of the states, kept here as the reference for the
+# Pauli-coordinate rank the informational-completeness check uses.
+def _dense_rank(preps):
+    flat = preps.states.reshape(preps.num_states, -1)
+    return int(np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_rank_matches_dense_rank(n):
+    rng = np.random.default_rng(200 + n)
+    ranks = set()
+    for trial in range(12):
+        # every other set draws from a random alphabet, which may miss a Pauli axis
+        alphabet = list(MUB_LABELS)
+        if trial % 2:
+            alphabet = [MUB_LABELS[i] for i in np.sort(rng.choice(6, rng.integers(1, 7), replace=False))]
+        size = int(rng.integers(1, 3 * 4**n))
+        labels = [tuple(rng.choice(alphabet, size=n)) for _ in range(size)]
+        preps = preparations_from_labels(labels, tuple(range(n)))
+        rank = _operator_rank(preps)
+        assert rank == _dense_rank(preps), (trial, alphabet, size)
+        ranks.add(rank == 4**n)
+    assert ranks == {True, False}  # both complete and rank-deficient sets were drawn
 
 
 def test_mle_rejects_too_few_preparations():
