@@ -28,6 +28,7 @@ from .operators import (
     trace_distance,
     trace_norm,
 )
+from .optimize import armijo
 
 # D_C values at or below this sit inside the optimizer's own tolerance and do
 # not certify crosstalk.
@@ -315,17 +316,10 @@ def _bfgs(
     """
     f, g = yield mu, x
     for _ in range(max_steps):
-        p = -h @ g
-        slope = float(g @ p)
-        t = 1.0
-        while True:
-            x_new = x + t * p
-            if np.array_equal(x_new, x):
-                return x
-            f_new, g_new = yield mu, x_new
-            if f_new < f + 1e-4 * t * slope:
-                break
-            t *= 0.5
+        step = yield from armijo(x, f, g, -h @ g, mu)
+        if step is None:
+            return x
+        x_new, (f_new, g_new) = step
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:

@@ -2,12 +2,13 @@
 
 The detector is probed with an informationally complete set of pure product
 states (all single-qubit mutually unbiased basis states by default) and the
-POVM is recovered by an iterative fixed-point update that preserves
-completeness exactly at every step.
+POVM is recovered by limited-memory BFGS on the log-likelihood, in a
+parametrization that is complete and PSD at every step.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -20,6 +21,7 @@ from .operators import (
     Povm,
     validate_povm,
 )
+from .optimize import lbfgs
 
 MUB_LABELS = ("0", "1", "+", "-", "+i", "-i")
 
@@ -307,17 +309,58 @@ def _check_informationally_complete(preps: PreparationSet) -> None:
         )
 
 
+def _objective(
+    born: _BornMap, f: np.ndarray, x: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """-L, its gradient in the factors packed in x, and the POVM (2**n, D, D) they give.
+
+    x packs the complex factors A_i (2**n, D, D) as real and imaginary parts;
+    M_i = T A_i A_i^dag T with T = S^(-1/2) and S = sum_j A_j A_j^dag.  With
+    G_i = sum_k (f[i,k]/p[i,k]) rho_k and B_i = A_i A_i^dag, the gradient is
+    -2 (T G_i T + K) A_i, where K = U (Gamma o U^dag H U) U^dag for
+    S = U diag(lam) U^dag, H = sum_i (B_i T G_i + G_i T B_i) and Gamma the
+    divided differences of lam^(-1/2),
+    Gamma_ab = -1 / (sqrt(lam_a lam_b) (sqrt(lam_a) + sqrt(lam_b))),
+    which is the derivative -lam^(-3/2)/2 on ties without a separate case.
+    """
+    d = f.shape[0]  # 2**n outcomes of D = 2**n
+    a = x.view(complex).reshape(d, d, d)
+    b = a @ a.conj().transpose(0, 2, 1)
+    s = b.sum(axis=0)
+    if not np.all(np.isfinite(s)):
+        raise NumericalFailureError("non-finite normalization operator in MLE step")
+    evals, u = np.linalg.eigh(0.5 * (s + s.conj().T))
+    if not np.all(np.isfinite(evals)) or evals.max() <= 0.0:
+        raise NumericalFailureError("singular normalization operator in MLE step")
+    root = np.sqrt(np.clip(evals, _EIG_FLOOR, None))
+    t = (u / root) @ u.conj().T
+    m = t @ b @ t
+    m = 0.5 * (m + m.conj().transpose(0, 2, 1))
+    p = born.clipped(m)
+    g = born.adjoint(f / p)
+    bt_g = (b @ t @ g).sum(axis=0)
+    gamma = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
+    k = u @ (gamma * (u.conj().T @ (bt_g + bt_g.conj().T) @ u)) @ u.conj().T
+    grad = -2.0 * (t @ g @ t + k) @ a
+    return -_log_likelihood(f, p), grad.reshape(-1).view(float), m
+
+
 def mle_reconstruct(
     freq: FrequencyTable, preps: PreparationSet, config: MleConfig | None = None
 ) -> tuple[Povm, MleDiagnostics]:
-    """Iterative maximum-likelihood POVM reconstruction.
+    """Maximum-likelihood POVM reconstruction by limited-memory BFGS.
 
-    Starting from M_i = I/D, each step rescales the elements by
-    R_i = S^(-1/2) G_i with G_i = sum_k (f[i,k]/p[i,k]) rho_k and
-    S = sum_j G_j M_j G_j, then sets M_i <- R_i M_i R_i^dag.  This choice of
-    ordering keeps sum_i M_i = I exact up to roundoff.  Iteration stops once
-    sum_i ||M_i - M_i'||_1 < epsilon or at max_iters, whichever is first; the
-    solver is deterministic, so identical inputs give identical outputs.
+    The POVM is written as M_i = T A_i A_i^dag T with T = S^(-1/2) and
+    S = sum_j A_j A_j^dag, so every iterate is complete and PSD by
+    construction; -L is minimized over the complex factors A_i (see
+    _objective), starting from A_i = I/sqrt(D), that is M_i = I/D.  One
+    iteration is one accepted step.  Iteration stops once a step moves the
+    POVM by sum_i ||M_i - M_i'||_1 < epsilon, when no step lowers -L any
+    more in float64 (even along the gradient), or at max_iters, whichever
+    is first.  The first two count as converged, the last does not; a run
+    stopped by float precision ends with final_delta >= epsilon (or with no
+    iteration at all).  The solver is deterministic, so identical inputs
+    give identical outputs.
 
     Returns the reconstructed POVM and per-iteration diagnostics; a run that
     hits max_iters is returned with converged=False rather than raised.
@@ -335,45 +378,31 @@ def mle_reconstruct(
         )
     _check_informationally_complete(preps)
 
-    born = _BornMap(preps)
-    f = freq.frequencies
+    objective = functools.partial(_objective, _BornMap(preps), freq.frequencies)
     eye = np.eye(d, dtype=complex)
-    m = np.repeat(eye[None] / d, num_outcomes, axis=0)
-    # the clipped Born matrix of the current iterate, carried from step to step
-    p = born.clipped(m)
+    x = np.repeat(eye[None] / np.sqrt(d), num_outcomes, axis=0).ravel().view(float)
+    start = objective(x)
+    m = start[2]
 
-    logliks = [_log_likelihood(f, p)]
+    logliks = [-start[0]]
     deltas: list[float] = []
     completeness: list[float] = []
     min_eigs: list[float] = []
-    converged = False
-    iterations = 0
+    # true also when lbfgs ends because no step lowers -L in float64
+    converged = True
 
-    for _ in range(cfg.max_iters):
-        g = born.adjoint(f / p)
-        s = (g @ m @ g).sum(axis=0)
-        if not np.all(np.isfinite(s)):
-            raise NumericalFailureError("non-finite normalization operator in MLE update")
-        s = 0.5 * (s + s.conj().T)
-        evals, vecs = np.linalg.eigh(s)
-        if not np.all(np.isfinite(evals)) or evals.max() <= 0.0:
-            raise NumericalFailureError("singular normalization operator in MLE update")
-        inv_sqrt = (vecs * np.clip(evals, _EIG_FLOOR, None) ** -0.5) @ vecs.conj().T
-        a = inv_sqrt @ g
-        m_new = a @ m @ a.conj().transpose(0, 2, 1)
-        m_new = 0.5 * (m_new + m_new.conj().transpose(0, 2, 1))
-
-        diff_eigs = np.linalg.eigvalsh(m_new - m)
-        delta = float(np.abs(diff_eigs).sum())
+    for iterations, (_, (value, _, m_new)) in enumerate(lbfgs(objective, x, start), 1):
+        eigs = np.linalg.eigvalsh(np.concatenate([m_new - m, m_new]))
+        delta = float(np.abs(eigs[:num_outcomes]).sum())
         deltas.append(delta)
         completeness.append(float(np.abs(m_new.sum(axis=0) - eye).max()))
-        min_eigs.append(float(np.linalg.eigvalsh(m_new).min()))
-        p = born.clipped(m_new)
-        logliks.append(_log_likelihood(f, p))
+        min_eigs.append(float(eigs[num_outcomes:].min()))
+        logliks.append(-value)
         m = m_new
-        iterations += 1
         if delta < cfg.epsilon:
-            converged = True
+            break
+        if iterations == cfg.max_iters:
+            converged = False
             break
 
     povm = Povm(tuple(HermitianOperator(mi, preps.qubit_labels) for mi in m))
@@ -385,7 +414,7 @@ def mle_reconstruct(
             f"completeness residual {report.completeness_residual:.3e}"
         )
     diag = MleDiagnostics(
-        iterations=iterations,
+        iterations=len(deltas),
         converged=converged,
         final_delta=deltas[-1] if deltas else 0.0,
         log_likelihoods=np.array(logliks),

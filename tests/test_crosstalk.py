@@ -48,7 +48,7 @@ ORACLE_BELL_DC = 0.7071068
 # recorded from tests/ with
 #   PYTHONPATH=../src python -c "from test_crosstalk import *;
 #   print(f'{nearest_product_distance(local_flip_reconstruction().matrix)[0]:.10f}')"
-ORACLE_LOCAL_FLIP_DC = 0.0111994754
+ORACLE_LOCAL_FLIP_DC = 0.0112015169
 
 SPLIT_01 = Partition(((0,), (1,)))
 

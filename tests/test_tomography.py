@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from detomo import (
     HermitianOperator,
     PreparationSet,
     born_probabilities,
+    counts_to_tables,
     ideal_povm,
     log_likelihood,
     make_noisy_povm,
@@ -20,10 +22,17 @@ from detomo import (
     mub_preparations,
     normalize,
     preparations_from_labels,
+    sample_counts,
     trace_distance,
     NoiseSpec,
 )
-from detomo.tomography import MUB_LABELS, _BornMap, _operator_rank
+from detomo.tomography import (
+    MUB_LABELS,
+    _BornMap,
+    _log_likelihood,
+    _objective,
+    _operator_rank,
+)
 
 
 def test_mub_preparations_single_qubit():
@@ -326,3 +335,91 @@ def test_mle_statistical_noise_stays_bounded(seed):
     for i in range(2):
         d = trace_distance(normalize(rec.elements[i]), normalize(povm.elements[i]))
         assert d <= 0.1
+
+
+# ------------------------------------------------------------------ solver
+
+
+def _shot_noise_table(n, spec, seed):
+    povm = make_noisy_povm(n, spec)
+    return counts_to_tables(sample_counts(povm, mub_preparations(n), shots=8192, seed=seed))
+
+
+def _trace_norm_sum(a, b):
+    return float(np.abs(np.linalg.eigvalsh(a - b)).sum())
+
+
+@pytest.mark.parametrize("start", ["tied", "random"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_objective_gradient_matches_finite_differences(n, start):
+    d = 2**n
+    preps, freq = _shot_noise_table(n, NoiseSpec(kind="local_flip", p=0.1), seed=40 + n)
+    objective = functools.partial(_objective, _BornMap(preps), freq.frequencies)
+    rng = np.random.default_rng(400 + n)
+    if start == "tied":  # the solver's start: S = I, every eigenvalue pair a tie
+        a = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(d), d, axis=0)
+    else:
+        a = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
+    x = a.ravel().view(float)
+    _, grad, _ = objective(x)
+    h = 1e-6
+    for _ in range(3):
+        v = rng.standard_normal(x.size)
+        central = (objective(x + h * v)[0] - objective(x - h * v)[0]) / (2.0 * h)
+        assert central == pytest.approx(grad @ v, rel=1e-6, abs=1e-8)
+
+
+def _r_iteration(freq, preps, epsilon=1e-6, max_iters=10000):
+    """Fixed-point R-iteration of Fiurasek (PRA 64, 024102, 2001), the
+    reconstruction this package ran before L-BFGS, kept as the reference.
+
+    From M_i = I/D, each step sets M_i <- R_i M_i R_i^dag with
+    R_i = S^(-1/2) G_i and S = sum_j G_j M_j G_j, until
+    sum_i ||M_i - M_i'||_1 < epsilon.  Returns the POVM stack and its
+    log-likelihood.
+    """
+    born = _BornMap(preps)
+    f = freq.frequencies
+    d = preps.dim
+    m = np.repeat(np.eye(d, dtype=complex)[None] / d, d, axis=0)
+    p = born.clipped(m)
+    for _ in range(max_iters):
+        g = born.adjoint(f / p)
+        s = (g @ m @ g).sum(axis=0)
+        evals, vecs = np.linalg.eigh(0.5 * (s + s.conj().T))
+        r = ((vecs * evals**-0.5) @ vecs.conj().T) @ g
+        m_new = r @ m @ r.conj().transpose(0, 2, 1)
+        m_new = 0.5 * (m_new + m_new.conj().transpose(0, 2, 1))
+        delta = _trace_norm_sum(m_new, m)
+        m = m_new
+        p = born.clipped(m)
+        if delta < epsilon:
+            break
+    return m, _log_likelihood(f, p)
+
+
+@pytest.mark.parametrize(
+    "n, spec, seed",
+    [
+        (2, NoiseSpec(kind="entangled", p=0.6), 2024),
+        (3, NoiseSpec(kind="classical_corr", w=0.3, p=0.05), 11),
+    ],
+)
+def test_mle_matches_r_iteration_reference(n, spec, seed):
+    preps, freq = _shot_noise_table(n, spec, seed)
+    ref, ref_loglik = _r_iteration(freq, preps)
+    rec, diag = mle_reconstruct(freq, preps)
+    assert diag.converged
+    assert diag.log_likelihoods[-1] >= ref_loglik
+    assert _trace_norm_sum(np.stack([e.matrix for e in rec.elements]), ref) <= 1e-3
+
+
+def test_mle_iterates_are_complete_and_psd_to_1e_12():
+    # ideal projectors: the maximum-likelihood POVM sits on the PSD boundary
+    preps, freq = _shot_noise_table(3, NoiseSpec(kind="local_flip", p=0.0), seed=9)
+    _, diag = mle_reconstruct(freq, preps)
+    assert diag.converged
+    assert diag.iterations > 10
+    assert diag.min_eigenvalues.min() < 1e-4
+    assert diag.completeness_residuals.max() <= 1e-12
+    assert diag.min_eigenvalues.min() >= -1e-12
