@@ -38,7 +38,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError(f"--pair expects two comma-separated qubits, got {args.pair!r}")
     spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair, seed=args.seed)
     povm = make_noisy_povm(args.n, spec)
-    preps = mub_preparations(args.n, shots_per_state=args.shots)
+    preps = mub_preparations(args.n)
     doc = sample_counts(povm, preps, shots=args.shots, seed=args.seed)
     dio.save_counts(doc, args.out)
     truth_out = args.truth_out or _sibling(args.out, "truth")
@@ -78,8 +78,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     partitions = None
     if args.partitions:
         partitions = tuple(Partition.parse(text) for text in args.partitions)
-    report = analyze_povm(povm, partitions)
+    # the PPT test checks --ppt-tol, so it runs before the crosstalk fits
     ppt = classify_povm(povm, ppt_tol=args.ppt_tol)
+    report = analyze_povm(povm, partitions)
 
     config = {
         "partitions": [p for p in (args.partitions or [])],

@@ -8,6 +8,7 @@ registers a PPT result only means no NPPT entanglement was detected.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,6 +18,11 @@ from .operators import HermitianOperator, NormalizedElement, Povm
 from .crosstalk import Partition, bipartitions, usable_elements
 
 PPT_TOL = 1e-7
+
+
+def _check_ppt_tol(ppt_tol: float) -> None:
+    if not (math.isfinite(ppt_tol) and ppt_tol > 0.0):
+        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
 
 
 def partial_transpose(op: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
@@ -65,8 +71,7 @@ def nppt_test(
         raise ValueError(
             f"bipartition {bipartition.label()} does not cover qubits {elem.qubit_labels}"
         )
-    if ppt_tol <= 0.0:
-        raise ValueError("ppt_tol must be positive")
+    _check_ppt_tol(ppt_tol)
     pt = partial_transpose(elem.op, bipartition.blocks[0])
     evals = pt.eigenvalues()
     lo = float(evals[0])
@@ -114,6 +119,7 @@ class PptReport:
 
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
     """Classify every element; elements with trace < 1e-10 are skipped."""
+    _check_ppt_tol(ppt_tol)
     usable, skipped = usable_elements(povm)
     rows = []
     for outcome, elem in usable:

@@ -219,7 +219,7 @@ def validate_counts(doc: dict) -> None:
 
 
 def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
-    """Validated counts document -> preparation states and frequencies.
+    """Validated counts document -> preparation set and frequencies.
 
     Outcome keys absent from a record are zero counts.
     """
@@ -228,9 +228,7 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
     n = len(qubits)
     records = doc["preparations"]
     try:
-        preps = preparations_from_labels(
-            [rec["labels"] for rec in records], qubits, shots_per_state=records[0]["shots"]
-        )
+        preps = preparations_from_labels([rec["labels"] for rec in records], qubits)
     except ValueError as exc:
         raise SchemaError(str(exc)) from exc
     counts = np.zeros((2**n, len(records)), dtype=np.int64)

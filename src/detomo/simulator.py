@@ -25,10 +25,9 @@ from .operators import (
     HermitianOperator,
     Povm,
     basis_projector,
-    born_probabilities,
     validate_povm,
 )
-from .tomography import PreparationSet
+from .tomography import PreparationSet, born_matrix
 
 NOISE_KINDS = ("local_flip", "classical_corr", "entangled")
 
@@ -150,7 +149,7 @@ def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
 def sample_counts(
     povm: Povm,
     preps: PreparationSet,
-    shots: int | None = None,
+    shots: int,
     seed: int | None = None,
 ) -> dict:
     """Draw multinomial counts for every preparation; returns a counts document.
@@ -161,7 +160,7 @@ def sample_counts(
     """
     if povm.n != preps.n:
         raise ValueError(f"POVM acts on {povm.n} qubits, preparations on {preps.n}")
-    shots = preps.shots_per_state if shots is None else int(shots)
+    shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be positive")
     seed = 0 if seed is None else int(seed)
@@ -170,8 +169,7 @@ def sample_counts(
 
     outcomes = povm.outcomes
     preparations = []
-    for k in range(preps.num_states):
-        p = born_probabilities(povm, preps.states[k])
+    for k, p in enumerate(born_matrix(povm, preps).T):
         cdf = np.cumsum(p / p.sum())
         cdf[-1] = 1.0
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))

@@ -39,7 +39,6 @@ _MUB_BLOCH = np.array(
     dtype=float,
 )
 
-_STATE_TOL = 1e-12
 _FREQ_COLUMN_TOL = 1e-12
 # Lower clips of Born probabilities and of normalization-operator eigenvalues.
 _PROB_FLOOR = 1e-12
@@ -70,54 +69,39 @@ def _kron_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _product_states(index: np.ndarray) -> np.ndarray:
-    """Density matrices (K, 2**n, 2**n) of the product kets named by index (K, n)."""
-    ket = _kron_rows(_MUB_KETS, index)
-    return ket[:, :, None] * ket.conj()[:, None, :]
-
-
 @dataclass(frozen=True)
 class PreparationSet:
-    """Pure product probe states with their per-qubit state labels.
+    """Pure product probe states, named by their per-qubit MUB labels.
 
-    The labels define the probes: states has shape
-    (num_preparations, 2**n, 2**n) and must equal the product of the
-    labelled single-qubit MUB projectors, state by state.
+    Probe k prepares the product over the qubits q of the MUB state
+    labels[k][q] on qubit qubit_labels[q].
     """
 
-    n: int
     labels: tuple[tuple[str, ...], ...]
-    states: np.ndarray
-    qubit_labels: tuple[int, ...] = ()
-    shots_per_state: int = 8192
+    qubit_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        states = np.asarray(self.states, dtype=complex)
-        d = 2**self.n
-        if states.ndim != 3 or states.shape[1:] != (d, d):
-            raise ValueError(f"states must have shape (K, {d}, {d}), got {states.shape}")
-        if len(self.labels) != states.shape[0]:
-            raise ValueError("one label tuple per state is required")
-        if self.shots_per_state < 1:
-            raise ValueError("shots_per_state must be positive")
-        qubits = tuple(self.qubit_labels) if self.qubit_labels else tuple(range(self.n))
-        if len(qubits) != self.n:
-            raise ValueError(f"{len(qubits)} qubit labels given for n={self.n}")
-        index = _label_index(self.labels, self.n)
-        worst = np.abs(states - _product_states(index)).max(initial=0.0)
-        if worst > _STATE_TOL:
-            raise ValueError(
-                f"states must be the products of their labels' kets, max deviation {worst:.3e}"
-            )
-        states = states.copy()
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
+        qubits = tuple(self.qubit_labels)
+        if len(set(qubits)) != len(qubits):
+            raise ValueError(f"duplicate qubit labels in {qubits}")
+        index = _label_index(self.labels, len(qubits))
+        index.flags.writeable = False
         object.__setattr__(self, "labels", tuple(tuple(l) for l in self.labels))
         object.__setattr__(self, "qubit_labels", qubits)
+        object.__setattr__(self, "_index", index)
+
+    @property
+    def n(self) -> int:
+        return len(self.qubit_labels)
+
+    @property
+    def index(self) -> np.ndarray:
+        """Per-qubit MUB_LABELS indices of the probes, shape (num_states, n)."""
+        return self._index
 
     @property
     def num_states(self) -> int:
-        return self.states.shape[0]
+        return len(self.labels)
 
     @property
     def dim(self) -> int:
@@ -141,7 +125,7 @@ class _BornMap:
         self._d = 2**n
         self._grid = 6**n
         # flat index of each probe on the label grid, first qubit most significant
-        self._column = _label_index(preps.labels, n) @ (6 ** np.arange(n - 1, -1, -1))
+        self._column = preps.index @ (6 ** np.arange(n - 1, -1, -1))
         self._bins = (np.arange(self._d)[:, None] * self._grid + self._column).ravel()
         # (i, s_1..s_n, t_1..t_n) <-> (i, s_1, t_1, ..., s_n, t_n)
         self._pairs = [0] + [a for q in range(n) for a in (1 + q, 1 + n + q)]
@@ -175,6 +159,16 @@ class _BornMap:
         paired = self._per_qubit(grid.reshape(self._d, self._grid), _MUB_MAP.conj().T)
         g = paired.reshape((self._d,) + (2,) * (2 * self._n)).transpose(self._unpairs)
         return g.reshape(self._d, self._d, self._d)
+
+
+def born_matrix(povm: Povm, preps: PreparationSet) -> np.ndarray:
+    """tr(M_i rho_k) for every element i and probe k, shape (2**n, num_states).
+
+    Tiny negative values from roundoff are clamped to zero, as in
+    born_probabilities.
+    """
+    m = np.stack([e.matrix for e in povm.elements])
+    return np.clip(_BornMap(preps).probabilities(m), 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -247,22 +241,13 @@ class MleDiagnostics:
 
 
 def preparations_from_labels(
-    label_tuples: Sequence[Sequence[str]],
-    qubit_labels: Sequence[int],
-    shots_per_state: int = 8192,
+    label_tuples: Sequence[Sequence[str]], qubit_labels: Sequence[int]
 ) -> PreparationSet:
-    """Build product probe states from per-qubit state labels."""
-    n = len(qubit_labels)
-    return PreparationSet(
-        n=n,
-        labels=tuple(tuple(l) for l in label_tuples),
-        states=_product_states(_label_index(label_tuples, n)),
-        qubit_labels=tuple(qubit_labels),
-        shots_per_state=shots_per_state,
-    )
+    """The product probe set named by per-qubit state labels."""
+    return PreparationSet(label_tuples, qubit_labels)
 
 
-def mub_preparations(n: int, shots_per_state: int = 8192) -> PreparationSet:
+def mub_preparations(n: int) -> PreparationSet:
     """All 6**n products of single-qubit MUB states, in lexicographic label order.
 
     Overcomplete (6**n > 4**n conditions) but uses only local state
@@ -271,7 +256,7 @@ def mub_preparations(n: int, shots_per_state: int = 8192) -> PreparationSet:
     if not 1 <= n <= 4:
         raise ValueError(f"supported register sizes are 1..4 qubits, got n={n}")
     label_tuples = tuple(itertools.product(MUB_LABELS, repeat=n))
-    return preparations_from_labels(label_tuples, tuple(range(n)), shots_per_state)
+    return preparations_from_labels(label_tuples, tuple(range(n)))
 
 
 def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
@@ -292,7 +277,7 @@ def _operator_rank(preps: PreparationSet) -> int:
     is the rank of the states' Pauli coordinates (K, 4**n), each row a
     product of its qubits' MUB Pauli coordinates.
     """
-    return int(np.linalg.matrix_rank(_kron_rows(_MUB_BLOCH, _label_index(preps.labels, preps.n))))
+    return int(np.linalg.matrix_rank(_kron_rows(_MUB_BLOCH, preps.index)))
 
 
 def _check_informationally_complete(preps: PreparationSet) -> None:

@@ -131,10 +131,10 @@ def test_criterion_3_mle_statistical_accuracy():
         budget=180.0,
     ):
         truth = make_noisy_povm(2, NoiseSpec(kind="local_flip", p=0.1))
-        preps = mub_preparations(2, shots_per_state=8192)
+        preps = mub_preparations(2)
         errors = []
         for seed in range(10):
-            doc = sample_counts(truth, preps, seed=seed)
+            doc = sample_counts(truth, preps, shots=8192, seed=seed)
             counts = np.zeros((4, 36), dtype=np.int64)
             for k, rec in enumerate(doc["preparations"]):
                 for key, value in rec["counts"].items():

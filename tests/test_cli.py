@@ -61,6 +61,16 @@ def test_simulate_rejects_bad_pair(tmp_path):
     assert code == 2
 
 
+def test_simulate_rejects_zero_shots(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "simulate", "--n", "2", "--noise", "local_flip", "--shots", "0", "--out", str(out),
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_missing_out_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--n", "2", "--noise", "local_flip")
@@ -227,6 +237,15 @@ def test_analyze_rejects_malformed_povm_file(tmp_path, capsys, n, mutate):
     code = run_cli("analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"))
     assert code == 3
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf"])
+def test_analyze_rejects_non_finite_ppt_tol(tmp_path, capsys, tol):
+    povm_path = Path(__file__).parent / "golden" / "povm.json"
+    code = run_cli("analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"), f"--ppt-tol={tol}")
+    assert code == 2
+    assert "ppt_tol" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_analyze_rejects_removed_fit_flags(tmp_path):

@@ -139,8 +139,9 @@ def test_nppt_test_argument_validation():
         nppt_test(elem, Partition(((0, 1),)))
     with pytest.raises(ValueError):
         nppt_test(elem, Partition(((0,), (2,))))
-    with pytest.raises(ValueError):
-        nppt_test(elem, Partition(((0,), (1,))), ppt_tol=0.0)
+    for tol in (0.0, -1e-7, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="ppt_tol"):
+            nppt_test(elem, Partition(((0,), (1,))), ppt_tol=tol)
 
 
 def test_classify_three_qubit_product_is_all_ppt():
@@ -175,6 +176,13 @@ def test_classify_ideal_povm_is_all_ppt():
     assert not report.any_nppt
     assert report.skipped_outcomes == ()
     assert report.ppt_tol == PPT_TOL
+
+
+@pytest.mark.parametrize("tol", [0.0, float("nan"), float("inf"), float("-inf")])
+def test_classify_povm_rejects_bad_ppt_tol(tol):
+    # one qubit has no bipartition, so only classify_povm itself can catch it
+    with pytest.raises(ValueError, match="ppt_tol"):
+        classify_povm(ideal_povm(1), ppt_tol=tol)
 
 
 def test_classify_povm_skips_traceless_elements():

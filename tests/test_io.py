@@ -109,8 +109,7 @@ def test_povm_load_rejects_truncated_json(tmp_path):
 
 def counts_fixture() -> dict:
     povm = make_noisy_povm(2, NoiseSpec(kind="local_flip", p=0.05))
-    preps = mub_preparations(2, shots_per_state=400)
-    return sample_counts(povm, preps, seed=8)
+    return sample_counts(povm, mub_preparations(2), shots=400, seed=8)
 
 
 def test_counts_file_round_trip(tmp_path):

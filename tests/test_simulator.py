@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from conftest import dense_states, random_povm
 from detomo import (
+    born_probabilities,
     NoiseSpec,
     assignment_matrix,
     classify_povm,
@@ -109,8 +111,8 @@ def test_entangled_residual_lands_on_pair_flipped_outcome():
 
 def test_sample_counts_ideal_measurement_is_deterministic_per_state():
     povm = ideal_povm(2)
-    preps = preparations_from_labels([("0", "0"), ("1", "1")], (0, 1), shots_per_state=100)
-    doc = sample_counts(povm, preps, seed=11)
+    preps = preparations_from_labels([("0", "0"), ("1", "1")], (0, 1))
+    doc = sample_counts(povm, preps, shots=100, seed=11)
     assert doc["version"] == 1
     assert doc["qubits"] == [0, 1]
     assert doc["preparations"][0]["counts"] == {"00": 100}
@@ -119,25 +121,25 @@ def test_sample_counts_ideal_measurement_is_deterministic_per_state():
 
 def test_sample_counts_zero_rows_are_omitted():
     povm = ideal_povm(1)
-    preps = preparations_from_labels([("0",)], (0,), shots_per_state=50)
-    doc = sample_counts(povm, preps, seed=0)
+    preps = preparations_from_labels([("0",)], (0,))
+    doc = sample_counts(povm, preps, shots=50, seed=0)
     assert doc["preparations"][0]["counts"] == {"0": 50}
 
 
 def test_sample_counts_same_seed_reproduces_byte_identical_documents():
     povm = make_noisy_povm(2, NoiseSpec(kind="local_flip", p=0.1))
-    preps = mub_preparations(2, shots_per_state=512)
-    a = sample_counts(povm, preps, seed=42)
-    b = sample_counts(povm, preps, seed=42)
+    preps = mub_preparations(2)
+    a = sample_counts(povm, preps, shots=512, seed=42)
+    b = sample_counts(povm, preps, shots=512, seed=42)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
-    c = sample_counts(povm, preps, seed=43)
+    c = sample_counts(povm, preps, shots=512, seed=43)
     assert json.dumps(a, sort_keys=True) != json.dumps(c, sort_keys=True)
 
 
 def test_sample_counts_shot_totals_and_outcome_keys():
     povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", p=0.02, w=0.3))
-    preps = mub_preparations(2, shots_per_state=300)
-    doc = sample_counts(povm, preps, seed=9)
+    preps = mub_preparations(2)
+    doc = sample_counts(povm, preps, shots=300, seed=9)
     assert len(doc["preparations"]) == 36
     for rec in doc["preparations"]:
         assert sum(rec["counts"].values()) == rec["shots"] == 300
@@ -146,21 +148,20 @@ def test_sample_counts_shot_totals_and_outcome_keys():
 
 def test_sample_counts_plus_state_splits_evenly():
     povm = ideal_povm(1)
-    preps = preparations_from_labels([("+",)], (0,), shots_per_state=100_000)
-    doc = sample_counts(povm, preps, seed=3)
+    preps = preparations_from_labels([("+",)], (0,))
+    doc = sample_counts(povm, preps, shots=100_000, seed=3)
     f0 = doc["preparations"][0]["counts"]["0"] / 100_000
     assert f0 == pytest.approx(0.5, abs=0.01)
 
 
 def test_sample_counts_tracks_born_probabilities():
-    from detomo import born_probabilities
-
     povm = make_noisy_povm(2, NoiseSpec(kind="entangled", p=0.35))
-    preps = mub_preparations(2, shots_per_state=100_000)
-    doc = sample_counts(povm, preps, seed=17)
+    preps = mub_preparations(2)
     shots = 100_000
+    doc = sample_counts(povm, preps, shots=shots, seed=17)
+    states = dense_states(preps)
     for k in (0, 7, 21, 35):
-        p = born_probabilities(povm, preps.states[k])
+        p = born_probabilities(povm, states[k])
         rec = doc["preparations"][k]
         for i, outcome in enumerate(povm.outcomes):
             f = rec["counts"].get(outcome, 0) / shots
@@ -172,9 +173,38 @@ def test_sample_counts_argument_checks():
     povm = ideal_povm(2)
     preps = mub_preparations(1)
     with pytest.raises(ValueError):
-        sample_counts(povm, preps)
-    preps2 = mub_preparations(2, shots_per_state=10)
+        sample_counts(povm, preps, shots=10)
+    preps2 = mub_preparations(2)
     with pytest.raises(ValueError):
         sample_counts(povm, preps2, shots=0)
     with pytest.raises(ValueError):
-        sample_counts(povm, preps2, seed=-2)
+        sample_counts(povm, preps2, shots=10, seed=-2)
+
+
+def _reference_counts(povm, preps, shots, seed):
+    """Per-probe dense Born probabilities, inverse-CDF on Philox keyed by (seed, k)."""
+    preparations = []
+    for k, rho in enumerate(dense_states(preps)):
+        p = born_probabilities(povm, rho)
+        cdf = np.cumsum(p / p.sum())
+        cdf[-1] = 1.0
+        rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
+        counts = np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"), minlength=len(p))
+        preparations.append(
+            {
+                "labels": list(preps.labels[k]),
+                "shots": shots,
+                "counts": {povm.outcomes[i]: int(c) for i, c in enumerate(counts) if c > 0},
+            }
+        )
+    return {"version": 1, "qubits": list(povm.qubit_labels), "preparations": preparations}
+
+
+@pytest.mark.parametrize("n, shots", [(1, 4096), (2, 2048), (3, 256), (4, 16)])
+def test_sample_counts_matches_dense_reference_sampler(n, shots):
+    rng = np.random.default_rng(500 + n)
+    povm = random_povm(n, rng)
+    preps = mub_preparations(n)
+    for seed in (0, 7):
+        doc = sample_counts(povm, preps, shots=shots, seed=seed)
+        assert json.dumps(doc) == json.dumps(_reference_counts(povm, preps, shots, seed))

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exact_frequency_table, random_povm
+from conftest import dense_states, exact_frequency_table, random_povm
 from detomo import (
     FrequencyTable,
     MleConfig,
@@ -39,21 +40,20 @@ def test_mub_preparations_single_qubit():
     preps = mub_preparations(1)
     assert preps.num_states == 6
     assert preps.labels == (("0",), ("1",), ("+",), ("-",), ("+i",), ("-i",))
-    purity = np.einsum("kst,kts->k", preps.states, preps.states).real
-    np.testing.assert_allclose(purity, 1.0, atol=1e-12)
-    plus_i = preps.states[4]
-    np.testing.assert_allclose(plus_i, [[0.5, -0.5j], [0.5j, 0.5]], atol=1e-15)
+    assert preps.n == 1 and preps.qubit_labels == (0,)
+    np.testing.assert_array_equal(preps.index, [[0], [1], [2], [3], [4], [5]])
 
 
 def test_mub_preparations_two_qubit_order_and_products():
     preps = mub_preparations(2)
     assert preps.num_states == 36
     assert preps.labels[:3] == (("0", "0"), ("0", "1"), ("0", "+"))
-    # state for ("+", "0") must be the Kronecker product in label order
+    # the probe ("+", "0") is the Kronecker product in label order
     idx = preps.labels.index(("+", "0"))
+    np.testing.assert_array_equal(preps.index[idx], [2, 0])
     plus = np.array([[0.5, 0.5], [0.5, 0.5]])
     zero = np.diag([1.0, 0.0])
-    np.testing.assert_allclose(preps.states[idx], np.kron(plus, zero), atol=1e-15)
+    np.testing.assert_allclose(dense_states(preps)[idx], np.kron(plus, zero), atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [0, 5])
@@ -62,24 +62,26 @@ def test_mub_preparations_guard_register_size(n):
         mub_preparations(n)
 
 
-def test_preparation_set_rejects_mixed_states():
-    mixed = np.eye(2, dtype=complex)[None] / 2.0
+def test_preparation_set_holds_labels_only():
+    preps = PreparationSet(labels=[["0", "+i"]], qubit_labels=[3, 1])
+    assert [f.name for f in dataclasses.fields(preps)] == ["labels", "qubit_labels"]
+    assert preps.labels == (("0", "+i"),)
+    assert preps.qubit_labels == (3, 1)
+    assert (preps.n, preps.dim, preps.num_states) == (2, 4, 1)
+    assert preps == preparations_from_labels([("0", "+i")], (3, 1))
     with pytest.raises(ValueError):
-        PreparationSet(n=1, labels=(("0",),), states=mixed)
-
-
-def test_preparation_set_rejects_states_that_disagree_with_labels():
-    preps = mub_preparations(2)
-    swapped = preps.states[[1, 0] + list(range(2, preps.num_states))]
-    with pytest.raises(ValueError, match="products of their labels"):
-        PreparationSet(n=2, labels=preps.labels, states=swapped)
+        preps.index[0, 0] = 1
 
 
 @pytest.mark.parametrize("bad", [("0", "x"), ("0",), ("0", 1), ("0", ["1"])])
 def test_preparation_set_rejects_malformed_labels(bad):
-    preps = preparations_from_labels([("0", "1")], (0, 1))
     with pytest.raises(ValueError):
-        PreparationSet(n=2, labels=(bad,), states=preps.states)
+        PreparationSet(labels=(bad,), qubit_labels=(0, 1))
+
+
+def test_preparation_set_rejects_duplicate_qubit_labels():
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
+        preparations_from_labels(mub_preparations(2).labels, (0, 0))
 
 
 def test_preparations_from_labels_rejects_unknown_label():
@@ -90,11 +92,11 @@ def test_preparations_from_labels_rejects_unknown_label():
 # The dense Born map and its adjoint, kept here as the reference for the
 # per-qubit contractions the reconstruction uses.
 def _dense_born(m, preps):
-    return np.einsum("ist,kts->ik", m, preps.states).real
+    return np.einsum("ist,kts->ik", m, dense_states(preps)).real
 
 
 def _dense_adjoint(w, preps):
-    return np.einsum("ik,kst->ist", w, preps.states)
+    return np.einsum("ik,kst->ist", w, dense_states(preps))
 
 
 def _label_lists(n, rng):
@@ -122,6 +124,7 @@ def test_product_born_map_matches_dense_oracle(n):
         np.testing.assert_allclose(
             born.adjoint(w), _dense_adjoint(w, preps), rtol=0, atol=1e-13, err_msg=kind
         )
+
 
 
 def test_mle_and_likelihood_ignore_probe_order():
@@ -162,13 +165,14 @@ def test_log_likelihood_at_truth_matches_direct_sum():
     povm = ideal_povm(1)
     preps = mub_preparations(1)
     freq = exact_frequency_table(povm, preps)
+    states = dense_states(preps)
     # independent evaluation: plain double loop over the same table
     expected = 0.0
     for k in range(preps.num_states):
         for i, e in enumerate(povm.elements):
             f = freq.frequencies[i, k]
             if f > 0.0:
-                expected += f * math.log((e.matrix @ preps.states[k]).trace().real)
+                expected += f * math.log((e.matrix @ states[k]).trace().real)
     assert log_likelihood(povm, freq, preps) == pytest.approx(expected, abs=1e-12)
 
 
@@ -270,10 +274,8 @@ def validate_ok(povm):
 
 
 def test_mle_rejects_informationally_incomplete_sets():
-    preps = mub_preparations(1)
     # six copies of |0> span a single ray: rank-deficient probe set
-    states = np.repeat(preps.states[:1], 6, axis=0)
-    flat = PreparationSet(n=1, labels=(("0",),) * 6, states=states)
+    flat = PreparationSet(labels=(("0",),) * 6, qubit_labels=(0,))
     freq = FrequencyTable(np.full((2, 6), 0.5), np.full(6, 100))
     with pytest.raises(ValueError, match="span"):
         mle_reconstruct(freq, flat)
@@ -282,7 +284,7 @@ def test_mle_rejects_informationally_incomplete_sets():
 # The dense real span of the states, kept here as the reference for the
 # Pauli-coordinate rank the informational-completeness check uses.
 def _dense_rank(preps):
-    flat = preps.states.reshape(preps.num_states, -1)
+    flat = dense_states(preps).reshape(preps.num_states, -1)
     return int(np.linalg.matrix_rank(np.concatenate([flat.real, flat.imag], axis=1)))
 
 
@@ -306,7 +308,7 @@ def test_operator_rank_matches_dense_rank(n):
 
 def test_mle_rejects_too_few_preparations():
     preps = mub_preparations(1)
-    small = PreparationSet(n=1, labels=preps.labels[:3], states=preps.states[:3])
+    small = PreparationSet(labels=preps.labels[:3], qubit_labels=(0,))
     freq = FrequencyTable(np.full((2, 3), 0.5), np.full(3, 100))
     with pytest.raises(ValueError, match="informationally complete"):
         mle_reconstruct(freq, small)
@@ -327,8 +329,8 @@ def test_mle_statistical_noise_stays_bounded(seed):
     preps = mub_preparations(1)
     rng = np.random.default_rng(seed)
     cols = []
-    for k in range(preps.num_states):
-        p = born_probabilities(povm, preps.states[k])
+    for rho in dense_states(preps):
+        p = born_probabilities(povm, rho)
         cols.append(rng.multinomial(4096, p / p.sum()))
     freq = FrequencyTable.from_counts(np.stack(cols).T, np.full(preps.num_states, 4096))
     rec, _ = mle_reconstruct(freq, preps)
