@@ -22,7 +22,9 @@ from .operators import (
     NormalizedElement,
     Povm,
     basis_projector,
+    kron,
     normalize,
+    partial_trace,
     permute_qubits,
     tensor,
     trace_distance,
@@ -84,9 +86,6 @@ class Partition:
                 raise ValueError(f"empty block in partition {text!r}")
             blocks.append(tuple(int(tok) for tok in part.split(",")))
         return cls(tuple(blocks))
-
-    def relabeled(self, mapping: dict[int, int]) -> "Partition":
-        return Partition(tuple(tuple(mapping[q] for q in b) for b in self.blocks))
 
 
 def full_split(qubit_labels: Sequence[int]) -> Partition:
@@ -163,30 +162,8 @@ def _psd_unit_trace(matrix: np.ndarray) -> np.ndarray:
     return (vecs * (evals / s)) @ vecs.conj().T
 
 
-def _kron_chain(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """⊗F_b of (..., d_b, d_b) factors, each entry multiplied left to right as reduce(np.kron)."""
-    out = factors[0]
-    for f in factors[1:]:
-        m, d = out.shape[-1], f.shape[-1]
-        out = (out[..., :, None, :, None] * f[..., None, :, None, :]).reshape(
-            out.shape[:-2] + (m * d, m * d)
-        )
-    return out
-
-
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(a - b)
-
-
-def _block_partial_traces(tensor_target: np.ndarray, dims: Sequence[int]) -> list[np.ndarray]:
-    nb = len(dims)
-    rows, cols = _LETTERS[:nb], _LETTERS[nb : 2 * nb]
-    out = []
-    for b in range(nb):
-        # trace all other blocks: repeat their row letter in the column slot
-        spec = rows + "".join(cols[i] if i == b else rows[i] for i in range(nb))
-        out.append(np.einsum(f"{spec}->{rows[b]}{cols[b]}", tensor_target))
-    return out
 
 
 def _als_update_subscript(nb: int, b: int) -> str:
@@ -220,7 +197,7 @@ def _als(
     others, then is projected back to the PSD unit-trace set.
     """
     nb = len(dims)
-    prev = _kron_chain(factors)
+    prev = kron(factors)
     for _ in range(_ALS_MAX_SWEEPS):
         for b in range(nb):
             others = [factors[i].conj() for i in range(nb) if i != b]
@@ -233,7 +210,7 @@ def _als(
                 if i != b:
                     scale *= float(np.vdot(factors[i], factors[i]).real)
             factors[b] = _psd_unit_trace(w / max(scale, 1e-300))
-        prod = _kron_chain(factors)
+        prod = kron(factors)
         change = float(np.linalg.norm(prod - prev))
         prev = prod
         if change < _ALS_TOL:
@@ -272,9 +249,9 @@ def _unroot(
     packed = x.view(complex)
     roots, norms, factors = [], [], []
     for (block, _, _), d in zip(_plan(dims), dims):
-        a = packed[:, block].reshape(-1, d, d)
-        # per-row vdot: a stacked sum of |A|² differs from it in the last bits
-        norm = np.array([np.vdot(row, row).real for row in a])
+        flat = packed[:, block]
+        a = flat.reshape(-1, d, d)
+        norm = np.vecdot(flat, flat).real
         roots.append(a)
         norms.append(norm)
         factors.append(a @ a.conj().transpose(0, 2, 1) / norm[:, None, None])
@@ -290,7 +267,7 @@ def _smoothed(
     of both results is bitwise what problem k alone gives.
     """
     roots, norms, factors = _unroot(x, dims)
-    evals, vecs = np.linalg.eigh(canons - _kron_chain(factors))
+    evals, vecs = np.linalg.eigh(canons - kron(factors))
     smooth = np.sqrt(evals**2 + (mu**2)[:, None])
     g = (vecs * (evals / smooth)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     g = g.reshape((len(x),) + dims * 2)
@@ -298,7 +275,7 @@ def _smoothed(
     for b, (_, subscript, eye) in enumerate(_plan(dims)):
         others = [f.conj() for i, f in enumerate(factors) if i != b]
         d_f = -0.5 * np.einsum(subscript, g, *others)
-        along = np.array([np.vdot(f, d).real for f, d in zip(factors[b], d_f)])
+        along = np.vecdot(factors[b].reshape(len(x), -1), d_f.reshape(len(x), -1)).real
         d_f -= along[:, None, None] * eye
         grads.append(((2.0 / norms[b])[:, None, None] * (d_f @ roots[b])).reshape(len(x), -1))
     return 0.5 * smooth.sum(axis=1), np.concatenate(grads, axis=1).view(float)
@@ -355,7 +332,7 @@ def _polish(
     for mu in _SMOOTHING:
         x = yield from _bfgs(x, h, mu, max_steps)
         cand = [f[0] for f in _unroot(x[None], dims)[2]]
-        dist = _distance(canon, _kron_chain(cand))
+        dist = _distance(canon, kron(cand))
         if dist < best_distance:
             best, best_distance = cand, dist
     return best, best_distance
@@ -390,12 +367,14 @@ def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polis
 
 
 def _seeds(
-    tensor_target: np.ndarray,
+    canon: HermitianOperator,
+    blocks: Sequence[tuple[int, ...]],
     dims: Sequence[int],
     outcome_bits: list[str] | None,
 ) -> Iterator[list[np.ndarray]]:
-    """Block partial traces, then a basis projector, then maximally mixed."""
-    traces = _block_partial_traces(tensor_target, dims)
+    """Block partial traces of the element with its blocks on contiguous axes,
+    then a basis projector, then maximally mixed."""
+    traces = [partial_trace(canon, block).matrix for block in blocks]
     yield [_psd_unit_trace(pt) for pt in traces]
     if outcome_bits is None:
         picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
@@ -450,7 +429,8 @@ def fit_products(
         labels = elem.qubit_labels
         if partition.covered != frozenset(labels):
             raise ValueError(f"partition {partition.label()} does not cover qubits {labels}")
-        canon = permute_qubits(elem.op, concat).matrix
+        canon_op = permute_qubits(elem.op, concat)
+        canon = canon_op.matrix
         tensor_target = canon.reshape(dims * 2)
         outcome_bits = None
         if outcome is not None:
@@ -459,7 +439,7 @@ def fit_products(
 
         seeds: list[tuple[int, bool]] = []
         seen: list[tuple[np.ndarray, int]] = []
-        for factors0 in _seeds(tensor_target, dims, outcome_bits):
+        for factors0 in _seeds(canon_op, partition.blocks, dims, outcome_bits):
             factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
             end = next(
                 (e for prod, e in seen if float(np.abs(prod - prod1).max()) < _DEDUPE_TOL), None

@@ -302,25 +302,17 @@ def write_crosstalk_json(
     _dump_json(crosstalk_report_to_dict(report, metadata), path)
 
 
-def crosstalk_report_to_csv(report: CrosstalkReport) -> str:
+def _csv(columns: tuple[str, ...], rows: list[dict]) -> str:
+    """The named columns of JSON report rows, as CSV text with a header line."""
     buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CROSSTALK_CSV_COLUMNS)
-    qubits = ",".join(map(str, report.qubit_labels))
-    for r in report.rows:
-        writer.writerow(
-            [
-                qubits,
-                r.outcome,
-                r.partition,
-                measured(r.d_n),
-                measured(r.d_c),
-                measured(r.d_l_star),
-                r.converged,
-                r.restarts_used,
-            ]
-        )
+    writer = csv.DictWriter(buf, columns, extrasaction="ignore", lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
     return buf.getvalue()
+
+
+def crosstalk_report_to_csv(report: CrosstalkReport) -> str:
+    return _csv(CROSSTALK_CSV_COLUMNS, crosstalk_report_to_dict(report)["rows"])
 
 
 def write_crosstalk_csv(report: CrosstalkReport, path: str | Path) -> None:
@@ -352,14 +344,7 @@ def write_ppt_json(report: PptReport, path: str | Path, metadata: dict | None = 
 
 
 def ppt_report_to_csv(report: PptReport) -> str:
-    buf = _stdio.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(PPT_CSV_COLUMNS)
-    for r in report.rows:
-        writer.writerow(
-            [r.outcome, r.bipartition, measured(r.min_eigenvalue), measured(r.negativity), r.verdict]
-        )
-    return buf.getvalue()
+    return _csv(PPT_CSV_COLUMNS, ppt_report_to_dict(report)["rows"])
 
 
 def write_ppt_csv(report: PptReport, path: str | Path) -> None:

@@ -190,6 +190,20 @@ def outcome_index(outcome: str, n: int) -> int:
     return int(outcome, 2)
 
 
+def kron(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Kronecker product of stacked (..., r, c) factors, the first most significant.
+
+    Leading axes broadcast.  Each entry is multiplied left to right, so every
+    stack entry equals, bit for bit, a chain of numpy.kron over its factors.
+    """
+    out = factors[0]
+    for f in factors[1:]:
+        prod = out[..., :, None, :, None] * f[..., None, :, None, :]
+        r, s, c, t = prod.shape[-4:]
+        out = prod.reshape(prod.shape[:-4] + (r * s, c * t))
+    return out
+
+
 def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """Kronecker product of operators on disjoint qubit registers.
 
@@ -203,10 +217,7 @@ def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
         labels.extend(op.qubit_labels)
     if len(set(labels)) != len(labels):
         raise LabelConflictError(f"tensor factors share qubit labels: {labels}")
-    m = ops[0].matrix
-    for op in ops[1:]:
-        m = np.kron(m, op.matrix)
-    return HermitianOperator(m, tuple(labels))
+    return HermitianOperator(kron([op.matrix for op in ops]), tuple(labels))
 
 
 def trace_norm(matrix: np.ndarray) -> float:

@@ -25,6 +25,7 @@ from .operators import (
     HermitianOperator,
     Povm,
     basis_projector,
+    kron,
     validate_povm,
 )
 from .tomography import PreparationSet, born_matrix
@@ -70,19 +71,13 @@ class NoiseSpec:
 
 def _local_flip_elements(n: int, flip: Sequence[float]) -> np.ndarray:
     """Stacked product elements (2**n, D, D) for independent per-qubit flips."""
-    singles = []
-    for p in flip:
-        m0 = np.diag([1.0 - p, p]).astype(complex)
-        m1 = np.diag([p, 1.0 - p]).astype(complex)
-        singles.append((m0, m1))
-    elements = []
-    for i in range(2**n):
-        bits = format(i, f"0{n}b")
-        m = np.ones((1, 1), dtype=complex)
-        for q, b in enumerate(bits):
-            m = np.kron(m, singles[q][int(b)])
-        elements.append(m)
-    return np.stack(elements)
+    # singles[q, b]: qubit q's element for bit b
+    singles = np.array(
+        [[np.diag([1.0 - p, p]), np.diag([p, 1.0 - p])] for p in flip], dtype=complex
+    )
+    # bits[i, q]: qubit q's bit of outcome i, the first qubit most significant
+    bits = np.arange(2**n)[:, None] >> np.arange(n - 1, -1, -1) & 1
+    return kron([singles[q, bits[:, q]] for q in range(n)])
 
 
 def _pair_positions(n: int, pair: tuple[int, int]) -> tuple[int, int]:
@@ -158,8 +153,10 @@ def sample_counts(
     (seed, preparation index), so any preparation's counts are reproducible
     independently of the others.  Zero counts are omitted from the document.
     """
-    if povm.n != preps.n:
-        raise ValueError(f"POVM acts on {povm.n} qubits, preparations on {preps.n}")
+    if povm.qubit_labels != preps.qubit_labels:
+        raise ValueError(
+            f"POVM acts on qubits {povm.qubit_labels}, preparations on {preps.qubit_labels}"
+        )
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be positive")

@@ -19,6 +19,7 @@ from .operators import (
     HermitianOperator,
     NumericalFailureError,
     Povm,
+    kron,
     validate_povm,
 )
 from .optimize import lbfgs
@@ -56,17 +57,6 @@ def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
                 raise ValueError(f"unknown preparation label {label!r}")
             index[k, q] = _MUB_INDEX[label]
     return index
-
-
-def _kron_rows(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """Row k is the np.kron chain of table[index[k, q]] over the qubits q.
-
-    Built in np.kron's multiplication order, so each row is bitwise that chain.
-    """
-    rows = np.ones((index.shape[0], 1), dtype=table.dtype)
-    for q in range(index.shape[1]):
-        rows = (rows[:, :, None] * table[index[:, q]][:, None, :]).reshape(index.shape[0], -1)
-    return rows
 
 
 @dataclass(frozen=True)
@@ -277,7 +267,8 @@ def _operator_rank(preps: PreparationSet) -> int:
     is the rank of the states' Pauli coordinates (K, 4**n), each row a
     product of its qubits' MUB Pauli coordinates.
     """
-    return int(np.linalg.matrix_rank(_kron_rows(_MUB_BLOCH, preps.index)))
+    rows = kron([_MUB_BLOCH[preps.index[:, q], None, :] for q in range(preps.n)])
+    return int(np.linalg.matrix_rank(rows[:, 0, :]))
 
 
 def _check_informationally_complete(preps: PreparationSet) -> None:

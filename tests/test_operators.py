@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,6 +23,7 @@ from detomo import (
     trace_distance,
     validate_povm,
 )
+from detomo.operators import kron
 
 KET0 = basis_projector("0", (0,))
 KET1 = basis_projector("1", (0,))
@@ -238,3 +241,26 @@ def test_permute_qubits_matches_kron_swap():
     b = random_element(1, rng, labels=(1,))
     swapped = permute_qubits(tensor([a.op, b.op]), (1, 0))
     np.testing.assert_allclose(swapped.matrix, tensor([b.op, a.op]).matrix, atol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [
+        [(2, 2)],
+        [(2, 2), (4, 4), (2, 2)],
+        [(5, 2, 2), (5, 4, 4), (5, 2, 2)],
+        [(7, 1, 4), (7, 1, 4), (7, 1, 4)],
+        [(2, 3), (1, 4), (3, 2)],
+        [(4, 2, 2), (4, 3, 1), (4, 1, 5)],
+    ],
+    ids=["one-factor", "square", "stacked", "rectangular-rows", "mixed", "stacked-mixed"],
+)
+def test_kron_equals_np_kron_chain_bitwise(shapes):
+    rng = np.random.default_rng(len(shapes) * 100 + sum(map(len, shapes)))
+    factors = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+    out = kron(factors)
+    if len(shapes[0]) == 2:
+        assert np.array_equal(out, functools.reduce(np.kron, factors))
+    else:
+        expected = [functools.reduce(np.kron, [f[k] for f in factors]) for k in range(shapes[0][0])]
+        assert np.array_equal(out, np.stack(expected))

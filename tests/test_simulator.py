@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -68,6 +69,18 @@ def test_local_flip_uses_per_qubit_probabilities():
     np.testing.assert_allclose(
         assignment_matrix(povm), np.kron(single(0.1), single(0.3)), atol=1e-15
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_local_flip_elements_equal_kron_chain_bitwise(n):
+    flip = (0.1, 0.3, 0.05, 0.2)[:n]
+    povm = make_noisy_povm(n, NoiseSpec(kind="local_flip", flip_probs=flip))
+    singles = [
+        (np.diag([1 - p, p]).astype(complex), np.diag([p, 1 - p]).astype(complex)) for p in flip
+    ]
+    for outcome, elem in zip(povm.outcomes, povm.elements):
+        expected = functools.reduce(np.kron, [singles[q][int(b)] for q, b in enumerate(outcome)])
+        assert np.array_equal(elem.matrix, expected)
 
 
 def test_all_noise_kinds_produce_valid_povms():
@@ -179,6 +192,9 @@ def test_sample_counts_argument_checks():
         sample_counts(povm, preps2, shots=0)
     with pytest.raises(ValueError):
         sample_counts(povm, preps2, shots=10, seed=-2)
+    # same qubit count, other qubits: the document would name the wrong qubits
+    with pytest.raises(ValueError):
+        sample_counts(ideal_povm(2, (5, 6)), preps2, shots=4)
 
 
 def _reference_counts(povm, preps, shots, seed):
