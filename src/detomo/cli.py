@@ -157,9 +157,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         raise ValueError("report needs --crosstalk and/or --ppt input files")
     chunks = []
     if args.crosstalk:
-        chunks.append(_render_crosstalk(dio._load_json(args.crosstalk)))
+        chunks.append(_render_crosstalk(dio.load_crosstalk_report(args.crosstalk)))
     if args.ppt:
-        chunks.append(_render_ppt(dio._load_json(args.ppt)))
+        chunks.append(_render_ppt(dio.load_ppt_report(args.ppt)))
     text = "\n\n".join(chunks)
     if args.out:
         Path(args.out).write_text(text + "\n")

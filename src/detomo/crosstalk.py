@@ -175,17 +175,6 @@ def _als_update_subscript(nb: int, b: int) -> str:
     return ",".join(operands) + "->" + rows[b] + cols[b]
 
 
-@lru_cache(maxsize=None)
-def _als_update_path(dims: tuple[int, ...], b: int) -> tuple:
-    """The contraction path einsum(optimize=True) picks for an ALS update of block b.
-
-    The path depends on the operand shapes only, so it is searched once per
-    (dims, b) instead of on every update.
-    """
-    operands = [np.empty(dims * 2)] + [np.empty((d, d)) for i, d in enumerate(dims) if i != b]
-    return tuple(np.einsum_path(_als_update_subscript(len(dims), b), *operands, optimize=True)[0])
-
-
 def _als(
     tensor_target: np.ndarray,
     dims: Sequence[int],
@@ -201,10 +190,7 @@ def _als(
     for _ in range(_ALS_MAX_SWEEPS):
         for b in range(nb):
             others = [factors[i].conj() for i in range(nb) if i != b]
-            w = np.einsum(
-                _als_update_subscript(nb, b), tensor_target, *others,
-                optimize=_als_update_path(tuple(dims), b),
-            )
+            w = np.einsum(_als_update_subscript(nb, b), tensor_target, *others)
             scale = 1.0
             for i in range(nb):
                 if i != b:
@@ -400,45 +386,47 @@ def _seed_order(dists: Sequence[float]) -> tuple[int, int]:
 
 
 def fit_products(
-    items: Sequence[tuple[NormalizedElement, str | None]],
-    partition: Partition,
+    items: Sequence[tuple[NormalizedElement, Partition, str | None]],
     config: FitConfig | None = None,
 ) -> list[ProductFit]:
-    """fit_product for each (element, outcome) pair across one partition.
+    """fit_product for each (element, partition, outcome) item.
 
-    The seeds, ALS runs and dedupe are per element, as in fit_product.  The
-    polishes of all elements and seeds then run side by side, one stacked
+    Every item is checked before any fit runs.  The seeds, ALS runs and
+    dedupe are per item, as in fit_product.  The polishes of all items and
+    seeds with the same block dimensions then run side by side, one stacked
     objective evaluation per step (_lockstep); each keeps its own BFGS
-    trajectory bit for bit.  The seed-order rules are replayed per element
+    trajectory bit for bit.  The seed-order rules are replayed per item
     afterwards, so every fit is identical to a lone fit_product call.  Seeds
     after an early stop that needed a polish to show itself are polished too,
     and then ignored.
     """
     cfg = config or FitConfig()
-    if len(partition.blocks) < 2:
-        raise ValueError("crosstalk queries need at least two blocks")
-    concat = [q for b in partition.blocks for q in b]
-    dims = tuple(2 ** len(b) for b in partition.blocks)
+    for elem, partition, _ in items:
+        if len(partition.blocks) < 2:
+            raise ValueError("crosstalk queries need at least two blocks")
+        if partition.covered != frozenset(elem.qubit_labels):
+            raise ValueError(
+                f"partition {partition.label()} does not cover qubits {elem.qubit_labels}"
+            )
 
     # (distance, factors) per distinct ALS end point; polished ones are filled in below
     ends: list[tuple[float, list[np.ndarray]]] = []
     tried: list[list[tuple[int, bool]]] = []  # per item: (end point, ALS converged) per seed
-    queued: list[int] = []  # the end points to polish, one problem each
-    problems: list[tuple[np.ndarray, _Polish]] = []
-    for elem, outcome in items:
-        labels = elem.qubit_labels
-        if partition.covered != frozenset(labels):
-            raise ValueError(f"partition {partition.label()} does not cover qubits {labels}")
-        canon_op = permute_qubits(elem.op, concat)
+    # per block dims: the end points to polish, each with its (canon, polish) problem
+    polishes: dict[tuple[int, ...], dict[int, tuple[np.ndarray, _Polish]]] = {}
+    for elem, partition, outcome in items:
+        dims = tuple(2 ** len(b) for b in partition.blocks)
+        canon_op = permute_qubits(elem.op, [q for b in partition.blocks for q in b])
         canon = canon_op.matrix
         tensor_target = canon.reshape(dims * 2)
         outcome_bits = None
         if outcome is not None:
-            by_label = dict(zip(labels, outcome))
+            by_label = dict(zip(elem.qubit_labels, outcome))
             outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
 
         seeds: list[tuple[int, bool]] = []
         seen: list[tuple[np.ndarray, int]] = []
+        pending = False  # a seed of this item awaits its polish
         for factors0 in _seeds(canon_op, partition.blocks, dims, outcome_bits):
             factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
             end = next(
@@ -450,23 +438,24 @@ def fit_products(
                 ends.append((dist, factors1))
                 seen.append((prod1, end))
                 if dist > _TIE_TOL:
-                    queued.append(end)
-                    problems.append(
-                        (canon, _polish(canon, dims, factors1, dist, cfg.polish_max_fev))
+                    pending = True
+                    polishes.setdefault(dims, {})[end] = (
+                        canon, _polish(canon, dims, factors1, dist, cfg.polish_max_fev)
                     )
             seeds.append((end, als_ok))
             # with no polish pending, the early stop is already decided
-            if not any(e in queued for e, _ in seeds):
+            if not pending:
                 dists = [ends[e][0] for e, _ in seeds]
                 if dists[_seed_order(dists)[0]] <= _EARLY_STOP:
                     break
         tried.append(seeds)
 
-    for end, (factors, dist) in zip(queued, _lockstep(dims, problems)):
-        ends[end] = (dist, factors)
+    for dims, queue in polishes.items():
+        for end, (factors, dist) in zip(queue, _lockstep(dims, list(queue.values()))):
+            ends[end] = (dist, factors)
 
     fits = []
-    for (elem, _), seeds in zip(items, tried):
+    for (elem, partition, _), seeds in zip(items, tried):
         best, used = _seed_order([ends[e][0] for e, _ in seeds])
         end, als_ok = seeds[best]
         dist, factors = ends[end]
@@ -509,7 +498,7 @@ def fit_product(
     once a distance of 1e-10 or less is found.  This is fit_products with one
     item.
     """
-    return fit_products([(elem, outcome)], partition, config)[0]
+    return fit_products([(elem, partition, outcome)], config)[0]
 
 
 def total_error(elem: NormalizedElement, outcome: str) -> float:
@@ -588,37 +577,30 @@ def analyze_povm(
     """Total/crosstalk/local error decomposition for every element.
 
     Elements with trace below 1e-10 carry no usable signal and are listed in
-    skipped_outcomes instead of being normalized.
+    skipped_outcomes instead of being normalized.  Every usable outcome and
+    partition is fitted in one fit_products call, in row order.
     """
-    cfg = config or FitConfig()
     parts = tuple(partitions) if partitions is not None else default_partitions(povm.qubit_labels)
-    for p in parts:
-        if p.covered != frozenset(povm.qubit_labels):
-            raise ValueError(f"partition {p.label()} does not cover qubits {povm.qubit_labels}")
-
     usable, skipped = usable_elements(povm)
-    items = [(elem, outcome) for outcome, elem in usable]
-    by_partition = [fit_products(items, partition, cfg) for partition in parts]
+    items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
+    d_n = {outcome: total_error(elem, outcome) for outcome, elem in usable}
     rows = []
-    for k, (outcome, elem) in enumerate(usable):
-        d_n = total_error(elem, outcome)
-        for partition, fits in zip(parts, by_partition):
-            fit = fits[k]
-            d_c = fit.distance
-            d_l = local_error(fit, outcome)
-            rows.append(
-                CrosstalkRow(
-                    outcome=outcome,
-                    partition=partition.label(),
-                    d_n=_clip01(d_n),
-                    d_c=_clip01(d_c),
-                    d_l_star=_clip01(d_l),
-                    converged=fit.converged,
-                    restarts_used=fit.restarts_used,
-                    triangle_residual=d_n - (d_c + d_l),
-                    resolved=d_c > DC_RESOLUTION,
-                )
+    for (_, partition, outcome), fit in zip(items, fit_products(items, config)):
+        d_c = fit.distance
+        d_l = local_error(fit, outcome)
+        rows.append(
+            CrosstalkRow(
+                outcome=outcome,
+                partition=partition.label(),
+                d_n=_clip01(d_n[outcome]),
+                d_c=_clip01(d_c),
+                d_l_star=_clip01(d_l),
+                converged=fit.converged,
+                restarts_used=fit.restarts_used,
+                triangle_residual=d_n[outcome] - (d_c + d_l),
+                resolved=d_c > DC_RESOLUTION,
             )
+        )
 
     return CrosstalkReport(
         qubit_labels=povm.qubit_labels,

@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io as _stdio
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -54,6 +55,11 @@ class SchemaError(ValueError):
 def _is_int(x) -> bool:
     """An integer JSON value; JSON true/false load as bool, an int subclass."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """A finite JSON number; true/false do not count."""
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
 
 
 def _is_number_matrix(rows, dim: int) -> bool:
@@ -349,3 +355,66 @@ def ppt_report_to_csv(report: PptReport) -> str:
 
 def write_ppt_csv(report: PptReport, path: str | Path) -> None:
     Path(path).write_text(ppt_report_to_csv(report))
+
+
+# What the report renderers read from each row: key -> (check, expected value).
+_CROSSTALK_ROW_FIELDS = {
+    "outcome": (lambda v: isinstance(v, str), "a string"),
+    "partition": (lambda v: isinstance(v, str), "a string"),
+    "D_N": (_is_number, "a finite number"),
+    "D_C": (_is_number, "a finite number"),
+    "D_L_star": (_is_number, "a finite number"),
+    "resolved": (lambda v: isinstance(v, bool), "true or false"),
+}
+_PPT_ROW_FIELDS = {
+    "outcome": (lambda v: isinstance(v, str), "a string"),
+    "bipartition": (lambda v: isinstance(v, str), "a string"),
+    "min_eigenvalue": (_is_number, "a finite number"),
+    "verdict": (lambda v: v in ("P", "N"), '"P" or "N"'),
+}
+
+
+def _report_rows(doc: dict, kind: str, fields: dict) -> list[dict]:
+    """The rows of a report document, after checking the keys and types read from it."""
+    qubits = doc.get("qubits")
+    if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+        raise SchemaError(f"{kind} report 'qubits' must be a list of integers, got {qubits!r}")
+    skipped = doc.get("skipped_outcomes", [])
+    if not isinstance(skipped, list) or not all(isinstance(o, str) for o in skipped):
+        raise SchemaError(f"{kind} report 'skipped_outcomes' must be a list of strings")
+    rows = doc.get("rows")
+    if not isinstance(rows, list):
+        raise SchemaError(f"{kind} report 'rows' must be a list")
+    for i, row in enumerate(rows):
+        if not isinstance(row, dict):
+            raise SchemaError(f"{kind} report row {i}: expected an object")
+        for key, (ok, expected) in fields.items():
+            if key not in row:
+                raise SchemaError(f"{kind} report row {i}: missing key {key!r}")
+            if not ok(row[key]):
+                raise SchemaError(
+                    f"{kind} report row {i}: {key!r} must be {expected}, got {row[key]!r}"
+                )
+    return rows
+
+
+def load_crosstalk_report(path: str | Path) -> dict:
+    """A crosstalk report JSON document, checked for what `detomo report` reads."""
+    doc = _load_json(path)
+    _report_rows(doc, "crosstalk", _CROSSTALK_ROW_FIELDS)
+    return doc
+
+
+def load_ppt_report(path: str | Path) -> dict:
+    """A PPT report JSON document whose rows form a full outcome x bipartition grid."""
+    doc = _load_json(path)
+    tol = doc.get("ppt_tol")
+    if not _is_number(tol):
+        raise SchemaError(f"ppt report 'ppt_tol' must be a finite number, got {tol!r}")
+    rows = _report_rows(doc, "ppt", _PPT_ROW_FIELDS)
+    cells = {(r["outcome"], r["bipartition"]) for r in rows}
+    outcomes = {o for o, _ in cells}
+    cuts = {b for _, b in cells}
+    if len(cells) != len(rows) or len(cells) != len(outcomes) * len(cuts):
+        raise SchemaError("ppt report rows must hold each outcome x bipartition cell exactly once")
+    return doc

@@ -307,10 +307,28 @@ def test_analyze_rows_equal_lone_fits():
             assert row.d_l_star == min(max(local_error(lone, outcome), 0.0), 1.0)
             assert row.restarts_used == lone.restarts_used
             assert row.converged == lone.converged
-    items = [(elem, outcome) for outcome, elem in usable]
-    partition = parts[0]
-    for (elem, outcome), fit in zip(items, fit_products(items, partition)):
+    # every partition's items in one batch, shuffled so the (2,2,2) and (2,4)
+    # problems interleave in their locksteps
+    items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
+    order = np.random.default_rng(5).permutation(len(items))
+    shuffled = [items[k] for k in order]
+    shapes = [len(p.blocks) for _, p, _ in shuffled]
+    assert sum(a != b for a, b in zip(shapes, shapes[1:])) > 2
+    for (elem, partition, outcome), fit in zip(shuffled, fit_products(shuffled)):
         _assert_same_fit(fit, fit_product(elem, partition, outcome=outcome))
+
+
+@pytest.mark.parametrize(
+    "bad", [Partition(((0, 1, 2),)), Partition(((0,), (1,))), Partition(((0,), (1, 3)))]
+)
+def test_fit_products_checks_every_item_before_fitting(bad, monkeypatch):
+    calls = []
+    monkeypatch.setattr("detomo.crosstalk._als", lambda *args: calls.append(args))
+    elem = random_element(3, np.random.default_rng(41))
+    good = Partition(((0,), (1, 2)))
+    with pytest.raises(ValueError):
+        fit_products([(elem, good, "000"), (elem, full_split((0, 1, 2)), None), (elem, bad, None)])
+    assert calls == []
 
 
 def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
@@ -318,7 +336,7 @@ def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
     a = random_element(1, rng, labels=(0,))
     b = random_element(1, rng, labels=(1,))
     product = NormalizedElement(tensor([a.op, b.op]))
-    fits = fit_products([(product, None), (bell_element(), "00")], SPLIT_01)
+    fits = fit_products([(product, SPLIT_01, None), (bell_element(), SPLIT_01, "00")])
     assert fits[0].restarts_used == 1
     _assert_same_fit(fits[0], fit_product(product, SPLIT_01))
     _assert_same_fit(fits[1], fit_product(bell_element(), SPLIT_01, outcome="00"))

@@ -1,24 +1,33 @@
-"""Malformed counts and POVM documents: every one must exit 3, never raise.
+"""Malformed counts, POVM and report documents: every one must exit 3, never raise.
 
 Each example takes a valid document, applies one mutation that the
 documented schema forbids (a dropped key, a wrong type, a non-finite number,
-a wrong shape, a bad label, a broken count sum) and runs the command that
-reads it.
+a wrong shape, a bad label, a broken count sum, a ragged outcome x
+bipartition grid) and runs the command that reads it.
 """
 
 import copy
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from detomo import ideal_povm, make_noisy_povm, mub_preparations, NoiseSpec, sample_counts
+from detomo import (
+    classify_povm, ideal_povm, make_noisy_povm, mub_preparations, NoiseSpec, sample_counts,
+)
 from detomo.cli import main
-from detomo.io import povm_to_dict
+from detomo.io import povm_to_dict, ppt_report_to_dict
 from detomo.tomography import MUB_LABELS
 
+GOLDEN = Path(__file__).parent / "golden"
 N = 2
+BASE_CROSSTALK = json.loads((GOLDEN / "report.crosstalk.json").read_text())
+# three qubits, so that the PPT rows form an 8 x 3 outcome x bipartition grid
+BASE_PPT = ppt_report_to_dict(
+    classify_povm(make_noisy_povm(3, NoiseSpec(kind="local_flip", p=0.1)))
+)
 BASE_COUNTS = sample_counts(ideal_povm(N), mub_preparations(N), shots=16, seed=0)
 BASE_POVM = povm_to_dict(make_noisy_povm(N, NoiseSpec(kind="local_flip", p=0.1)))
 
@@ -202,6 +211,62 @@ def _mutate_povm(doc: dict, data) -> dict:
     return doc
 
 
+# The row keys `detomo report` reads, with values of the wrong type for each.
+CROSSTALK_ROW_KEYS = {
+    "outcome": NOT_STR, "partition": NOT_STR,
+    "D_N": NOT_NUMBER, "D_C": NOT_NUMBER, "D_L_star": NOT_NUMBER,
+    "resolved": st.one_of(st.none(), st.integers(), st.floats(), st.text(max_size=3)),
+}
+PPT_ROW_KEYS = {"outcome": NOT_STR, "bipartition": NOT_STR, "min_eigenvalue": NOT_NUMBER,
+                "verdict": st.one_of(NOT_STR, st.text(max_size=3).filter(lambda v: v not in "PN"))}
+
+
+def _mutate_report(doc: dict, row_keys: dict, data) -> dict:
+    rows = doc["rows"]
+    row = rows[data.draw(st.integers(0, len(rows) - 1), label="row")]
+    key = data.draw(st.sampled_from(sorted(row_keys)), label="key")
+    ppt = "ppt_tol" in doc
+    kinds = ["drop", "type", "non-finite", "top-level"] + (["grid"] if ppt else [])
+    kind = data.draw(st.sampled_from(kinds), label="kind")
+    if kind == "drop":
+        where = data.draw(st.sampled_from(["qubits", "rows", "row"] + (["ppt_tol"] if ppt else [])))
+        del (row if where == "row" else doc)[key if where == "row" else where]
+    elif kind == "type":
+        field = data.draw(st.sampled_from(["qubits", "qubit", "rows", "row", "value",
+                                           "skipped_outcomes"] + (["ppt_tol"] if ppt else [])))
+        if field == "qubits":
+            doc["qubits"] = data.draw(NOT_LIST)
+        elif field == "qubit":
+            doc["qubits"][0] = data.draw(NOT_INT)
+        elif field == "rows":
+            doc["rows"] = data.draw(NOT_LIST)
+        elif field == "row":
+            rows[0] = data.draw(NOT_DICT)
+        elif field == "value":
+            row[key] = data.draw(row_keys[key])
+        elif field == "skipped_outcomes":
+            doc["skipped_outcomes"] = data.draw(st.one_of(NOT_LIST, st.just([0])))
+        else:
+            doc["ppt_tol"] = data.draw(NOT_NUMBER)
+    elif kind == "non-finite":
+        numbers = [k for k in row_keys if k.startswith(("D_", "min_"))]
+        row[data.draw(st.sampled_from(numbers))] = data.draw(NON_FINITE)
+    elif kind == "grid":
+        what = data.draw(st.sampled_from(["drop-row", "duplicate-row", "rename-outcome",
+                                          "rename-cut"]))
+        if what == "drop-row":
+            rows.remove(row)
+        elif what == "duplicate-row":
+            rows.append(copy.deepcopy(row))
+        elif what == "rename-outcome":
+            row["outcome"] = "11x"
+        else:
+            row["bipartition"] = "(0,1):2"
+    else:
+        return data.draw(st.one_of(NOT_DICT, st.just([doc]), st.just(BASE_POVM)))
+    return doc
+
+
 def _assert_schema_error(code: int, capsys) -> None:
     err = capsys.readouterr().err
     assert code == 3, err
@@ -228,15 +293,34 @@ def test_analyze_exits_3_on_malformed_povm(tmp_path, capsys, data):
     _assert_schema_error(code, capsys)
 
 
-@pytest.mark.parametrize("command", ["reconstruct", "analyze"])
+@FUZZ
+@given(data=st.data(), flag=st.sampled_from(["--crosstalk", "--ppt"]))
+def test_report_exits_3_on_malformed_report(tmp_path, capsys, data, flag):
+    if flag == "--crosstalk":
+        doc = _mutate_report(copy.deepcopy(BASE_CROSSTALK), CROSSTALK_ROW_KEYS, data)
+    else:
+        doc = _mutate_report(copy.deepcopy(BASE_PPT), PPT_ROW_KEYS, data)
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    code = main(["report", flag, str(path), "--out", str(tmp_path / "report.txt")])
+    _assert_schema_error(code, capsys)
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "analyze", "report"])
 def test_unmutated_fuzz_bases_are_accepted(tmp_path, command):
     if command == "reconstruct":
         path = tmp_path / "counts.json"
         path.write_text(json.dumps(BASE_COUNTS))
         argv = ["reconstruct", "--counts", str(path), "--out", str(tmp_path / "povm.json")]
-    else:
+    elif command == "analyze":
         path = tmp_path / "povm.json"
         path.write_text(json.dumps(BASE_POVM))
         argv = ["analyze", "--povm", str(path), "--out", str(tmp_path / "r"),
                 "--partitions", "0:1"]
+    else:
+        xpath, ppath = tmp_path / "x.json", tmp_path / "p.json"
+        xpath.write_text(json.dumps(BASE_CROSSTALK))
+        ppath.write_text(json.dumps(BASE_PPT))
+        argv = ["report", "--crosstalk", str(xpath), "--ppt", str(ppath),
+                "--out", str(tmp_path / "report.txt")]
     assert main(argv) == 0
