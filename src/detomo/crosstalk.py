@@ -10,6 +10,7 @@ over-explains the total error.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -326,9 +327,16 @@ def _polish(
 
 def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polish]]) -> list[tuple]:
     """Drive (canon, polish generator) problems side by side, with one stacked
-    _smoothed call per round; returns what each generator returns, in order."""
+    _smoothed call per round; returns what each generator returns, in order.
+
+    Each live problem holds a dense inverse Hessian, so at most prod(dims) =
+    2^n run at a time, one per outcome of one partition; a finished problem's
+    place goes to the next waiting one.
+    """
+    width = math.prod(dims)
     results: list[tuple] = [()] * len(problems)
     trials: dict[int, tuple[float, np.ndarray]] = {}
+    waiting = iter(range(len(problems)))
 
     def advance(k: int, reply: tuple[float, np.ndarray] | None) -> None:
         try:
@@ -337,8 +345,11 @@ def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polis
             trials.pop(k, None)
             results[k] = stop.value
 
-    for k in range(len(problems)):
-        advance(k, None)
+    def refill() -> None:
+        while len(trials) < width and (k := next(waiting, None)) is not None:
+            advance(k, None)
+
+    refill()
     while trials:
         live = list(trials)
         f, g = _smoothed(
@@ -349,6 +360,7 @@ def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polis
         )
         for row, k in enumerate(live):
             advance(k, (float(f[row]), g[row]))
+        refill()
     return results
 
 

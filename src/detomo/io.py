@@ -18,7 +18,7 @@ import csv
 import hashlib
 import io as _stdio
 import json
-import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -58,15 +58,19 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    """A finite JSON number; true/false do not count."""
-    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+    """A JSON number; true/false do not count."""
+    return _is_int(x) or isinstance(x, float)
 
 
-def _is_number_matrix(rows, dim: int) -> bool:
-    """A dim x dim list of JSON numbers; strings and true/false do not count."""
+def _is_finite(x) -> bool:
+    """A JSON number that is a finite float; an integer too large for one is not."""
+    return _is_number(x) and abs(x) <= sys.float_info.max
+
+
+def _is_finite_matrix(rows, dim: int) -> bool:
+    """A dim x dim list of finite JSON numbers; strings and true/false do not count."""
     return isinstance(rows, list) and len(rows) == dim and all(
-        isinstance(row, list) and len(row) == dim
-        and all(_is_int(v) or isinstance(v, float) for v in row)
+        isinstance(row, list) and len(row) == dim and all(_is_finite(v) for v in row)
         for row in rows
     )
 
@@ -113,16 +117,14 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
     labels = doc["labels"]
     if not _is_int(dim) or dim < 2:
         raise SchemaError(f"{where}: dim must be an integer >= 2, got {dim!r}")
-    if not (_is_number_matrix(doc["re"], dim) and _is_number_matrix(doc["im"], dim)):
-        raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of numbers")
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc["im"], dtype=float)
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise SchemaError(f"{where}: matrix entries must be finite numbers")
+    if not (_is_finite_matrix(doc["re"], dim) and _is_finite_matrix(doc["im"], dim)):
+        raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of finite numbers")
     if not isinstance(labels, list) or any(not _is_int(q) for q in labels):
         raise SchemaError(f"{where}: labels must be a list of integers, got {labels!r}")
     if 2 ** len(labels) != dim:
         raise SchemaError(f"{where}: labels {labels!r} do not match dim {dim}")
+    re = np.asarray(doc["re"], dtype=float)
+    im = np.asarray(doc["im"], dtype=float)
     try:
         return HermitianOperator(re + 1j * im, tuple(labels))
     except ValueError as exc:
@@ -361,15 +363,15 @@ def write_ppt_csv(report: PptReport, path: str | Path) -> None:
 _CROSSTALK_ROW_FIELDS = {
     "outcome": (lambda v: isinstance(v, str), "a string"),
     "partition": (lambda v: isinstance(v, str), "a string"),
-    "D_N": (_is_number, "a finite number"),
-    "D_C": (_is_number, "a finite number"),
-    "D_L_star": (_is_number, "a finite number"),
+    "D_N": (_is_finite, "a finite number"),
+    "D_C": (_is_finite, "a finite number"),
+    "D_L_star": (_is_finite, "a finite number"),
     "resolved": (lambda v: isinstance(v, bool), "true or false"),
 }
 _PPT_ROW_FIELDS = {
     "outcome": (lambda v: isinstance(v, str), "a string"),
     "bipartition": (lambda v: isinstance(v, str), "a string"),
-    "min_eigenvalue": (_is_number, "a finite number"),
+    "min_eigenvalue": (_is_finite, "a finite number"),
     "verdict": (lambda v: v in ("P", "N"), '"P" or "N"'),
 }
 
@@ -409,7 +411,7 @@ def load_ppt_report(path: str | Path) -> dict:
     """A PPT report JSON document whose rows form a full outcome x bipartition grid."""
     doc = _load_json(path)
     tol = doc.get("ppt_tol")
-    if not _is_number(tol):
+    if not _is_finite(tol):
         raise SchemaError(f"ppt report 'ppt_tol' must be a finite number, got {tol!r}")
     rows = _report_rows(doc, "ppt", _PPT_ROW_FIELDS)
     cells = {(r["outcome"], r["bipartition"]) for r in rows}

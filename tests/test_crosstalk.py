@@ -318,6 +318,32 @@ def test_analyze_rows_equal_lone_fits():
         _assert_same_fit(fit, fit_product(elem, partition, outcome=outcome))
 
 
+def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
+    import detomo.crosstalk as ct
+
+    fits, locksteps, stacks = [], [], []
+
+    def spy(name, log, record):
+        real = getattr(ct, name)
+
+        def wrapped(*args):
+            log.append(record(*args))
+            return real(*args)
+
+        monkeypatch.setattr(ct, name, wrapped)
+
+    spy("fit_products", fits, lambda items, config: len(items))
+    spy("_lockstep", locksteps, lambda dims, problems: (dims, len(problems)))
+    spy("_smoothed", stacks, lambda canon, dims, x, mu: (dims, len(canon)))
+    povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3, seed=1))
+    analyze_povm(povm)
+    assert fits == [8 * 4]  # every outcome x (full split and three 1:2 cuts)
+    assert [dims for dims, _ in locksteps] == [(2, 2, 2), (2, 4)]
+    assert dict(locksteps)[(2, 4)] > 8  # the three cuts share one lockstep
+    # at most 2^n = 8 polishes are live at a time, each with its own inverse Hessian
+    assert max(size for _, size in stacks) == 8
+
+
 @pytest.mark.parametrize(
     "bad", [Partition(((0, 1, 2),)), Partition(((0,), (1,))), Partition(((0,), (1, 3)))]
 )

@@ -39,6 +39,8 @@ FUZZ = settings(
 )
 
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# JSON numbers that no finite float holds: the above and integers past the float range.
+NOT_FLOAT = st.one_of(NON_FINITE, st.sampled_from([10**400, -(10**400)]))
 # JSON values that are never an integer: floats (3.0 included), strings, null,
 # true/false, arrays and objects.
 NOT_INT = st.one_of(
@@ -180,7 +182,7 @@ def _mutate_povm(doc: dict, data) -> dict:
         else:
             elem[part][row][col] = data.draw(NOT_NUMBER)
     elif kind == "non-finite":
-        elem[part][row][col] = data.draw(NON_FINITE)
+        elem[part][row][col] = data.draw(NOT_FLOAT)
     elif kind == "shape":
         what = data.draw(st.sampled_from(["n", "dim", "short-row", "long-row", "drop-row",
                                           "short-labels", "long-labels", "duplicate-labels"]))
@@ -250,7 +252,7 @@ def _mutate_report(doc: dict, row_keys: dict, data) -> dict:
             doc["ppt_tol"] = data.draw(NOT_NUMBER)
     elif kind == "non-finite":
         numbers = [k for k in row_keys if k.startswith(("D_", "min_"))]
-        row[data.draw(st.sampled_from(numbers))] = data.draw(NON_FINITE)
+        row[data.draw(st.sampled_from(numbers))] = data.draw(NOT_FLOAT)
     elif kind == "grid":
         what = data.draw(st.sampled_from(["drop-row", "duplicate-row", "rename-outcome",
                                           "rename-cut"]))
