@@ -27,6 +27,16 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
+def _metadata(config: dict, input_path: str) -> dict:
+    """Report metadata: run time, configuration and its hash, input file hash."""
+    return {
+        "created_at": _timestamp(),
+        "config": config,
+        "config_hash": dio.config_hash(config),
+        "inputs": {str(input_path): dio.file_sha256(input_path)},
+    }
+
+
 def _sibling(path: str, tag: str) -> str:
     p = Path(path)
     return str(p.with_name(p.stem + f".{tag}.json") if p.suffix else p.with_name(p.name + f".{tag}.json"))
@@ -36,7 +46,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     pair = tuple(int(t) for t in args.pair.split(","))
     if len(pair) != 2:
         raise ValueError(f"--pair expects two comma-separated qubits, got {args.pair!r}")
-    spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair, seed=args.seed)
+    spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair)
     povm = make_noisy_povm(args.n, spec)
     preps = mub_preparations(args.n)
     doc = sample_counts(povm, preps, shots=args.shots, seed=args.seed)
@@ -58,12 +68,8 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
     dio.save_povm(dio.round_povm(povm), args.out)
     diag_out = args.diagnostics_out or _sibling(args.out, "diag")
     payload = dio.diagnostics_to_dict(diag)
-    payload["metadata"] = {
-        "created_at": _timestamp(),
-        "config": {"epsilon": args.epsilon, "max_iters": args.max_iters},
-        "config_hash": dio.config_hash({"epsilon": args.epsilon, "max_iters": args.max_iters}),
-        "inputs": {str(args.counts): dio.file_sha256(args.counts)},
-    }
+    config = {"epsilon": args.epsilon, "max_iters": args.max_iters}
+    payload["metadata"] = _metadata(config, args.counts)
     dio._dump_json(payload, diag_out)
     status = "converged" if diag.converged else "hit max_iters"
     print(
@@ -82,16 +88,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     ppt = classify_povm(povm, ppt_tol=args.ppt_tol)
     report = analyze_povm(povm, partitions)
 
-    config = {
-        "partitions": [p for p in (args.partitions or [])],
-        "ppt_tol": args.ppt_tol,
-    }
-    metadata = {
-        "created_at": _timestamp(),
-        "config": config,
-        "config_hash": dio.config_hash(config),
-        "inputs": {str(args.povm): dio.file_sha256(args.povm)},
-    }
+    config = {"partitions": list(args.partitions or []), "ppt_tol": args.ppt_tol}
+    metadata = _metadata(config, args.povm)
 
     written = []
     base = args.out

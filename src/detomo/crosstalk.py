@@ -208,8 +208,8 @@ def _als(
 # Leading axis of the stacked polish contractions: one row per problem.
 _BATCH = "z"
 
-# What the polish generators yield, (mu, x), and are sent back, (f, g).
-_Polish = Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], tuple]
+# What a fit yields while it polishes, (mu, x), and is sent back, (f, g).
+_Fit = Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], tuple]
 
 
 @lru_cache(maxsize=None)
@@ -299,12 +299,12 @@ def _polish(
     factors: list[np.ndarray],
     start_distance: float,
     max_steps: int,
-) -> _Polish:
+) -> _Fit:
     """BFGS on the factor roots against the trace norm smoothed at shrinking μ.
 
     Each stage starts where the previous one ended, with its curvature
     estimate; the end point with the smallest true distance wins, or the
-    starting factors if none improves.  A generator driven by _lockstep; it
+    starting factors if none improves.  A generator driven by _fit; it
     returns (factors, distance).
     """
     if max_steps == 0:
@@ -325,13 +325,13 @@ def _polish(
     return best, best_distance
 
 
-def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Polish]]) -> list[tuple]:
-    """Drive (canon, polish generator) problems side by side, with one stacked
+def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Fit]]) -> list[tuple]:
+    """Drive (canon, fit generator) problems side by side, with one stacked
     _smoothed call per round; returns what each generator returns, in order.
 
-    Each live problem holds a dense inverse Hessian, so at most prod(dims) =
-    2^n run at a time, one per outcome of one partition; a finished problem's
-    place goes to the next waiting one.
+    A live fit polishes one ALS end point at a time and holds its dense
+    inverse Hessian, so at most prod(dims) = 2^n fits run at a time, one per
+    outcome of one partition; a finished fit's place goes to the next waiting one.
     """
     width = math.prod(dims)
     results: list[tuple] = [()] * len(problems)
@@ -382,19 +382,40 @@ def _seeds(
     yield [np.eye(d, dtype=complex) / d for d in dims]
 
 
-def _seed_order(dists: Sequence[float]) -> tuple[int, int]:
-    """The winning seed and the number of seeds used, replaying the serial rule.
+def _fit(
+    canon_op: HermitianOperator,
+    blocks: Sequence[tuple[int, ...]],
+    outcome_bits: list[str] | None,
+    max_steps: int,
+) -> _Fit:
+    """One product fit of the element canon_op, its blocks on contiguous axes.
 
-    Seeds are taken in order; a later seed wins only if it beats the best by
-    more than 1e-9, and the search stops once the best is 1e-10 or less.
+    Seeds are taken in order and each runs through ALS.  A seed whose ALS
+    end point coincides with an earlier seed's reuses that result; a new end
+    point farther than 1e-9 from the element is polished.  A later seed wins
+    only if it beats the best by more than 1e-9, and the search stops once
+    the best is 1e-10 or less.  Its polishes' trial points pass through it
+    to _lockstep; it returns (distance, factors, ALS converged, seeds used).
     """
-    best = used = 0
-    for used, dist in enumerate(dists, 1):
-        if dist < dists[best] - _TIE_TOL:
-            best = used - 1
-        if dists[best] <= _EARLY_STOP:
+    dims = tuple(2 ** len(b) for b in blocks)
+    canon = canon_op.matrix
+    tensor_target = canon.reshape(dims * 2)
+    ends: list[tuple[np.ndarray, float, list[np.ndarray]]] = []  # (ALS product, distance, factors)
+    for used, factors0 in enumerate(_seeds(canon_op, blocks, dims, outcome_bits), 1):
+        factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
+        end = next((e for e in ends if float(np.abs(e[0] - prod1).max()) < _DEDUPE_TOL), None)
+        if end is None:
+            dist = _distance(canon, prod1)
+            if dist > _TIE_TOL:
+                factors1, dist = yield from _polish(canon, dims, factors1, dist, max_steps)
+            end = (prod1, dist, factors1)
+            ends.append(end)
+        _, dist, factors = end
+        if used == 1 or dist < best[0] - _TIE_TOL:
+            best = (dist, factors, als_ok)
+        if best[0] <= _EARLY_STOP:
             break
-    return best, used
+    return best + (used,)
 
 
 def fit_products(
@@ -403,14 +424,10 @@ def fit_products(
 ) -> list[ProductFit]:
     """fit_product for each (element, partition, outcome) item.
 
-    Every item is checked before any fit runs.  The seeds, ALS runs and
-    dedupe are per item, as in fit_product.  The polishes of all items and
-    seeds with the same block dimensions then run side by side, one stacked
-    objective evaluation per step (_lockstep); each keeps its own BFGS
-    trajectory bit for bit.  The seed-order rules are replayed per item
-    afterwards, so every fit is identical to a lone fit_product call.  Seeds
-    after an early stop that needed a polish to show itself are polished too,
-    and then ignored.
+    Every item is checked before any fit runs.  The fits of all items with
+    the same block dimensions then run side by side, in item order, with one
+    stacked objective evaluation per polish step (_lockstep); each keeps its
+    own path bit for bit, so every fit is identical to a lone fit_product call.
     """
     cfg = config or FitConfig()
     for elem, partition, _ in items:
@@ -421,70 +438,38 @@ def fit_products(
                 f"partition {partition.label()} does not cover qubits {elem.qubit_labels}"
             )
 
-    # (distance, factors) per distinct ALS end point; polished ones are filled in below
-    ends: list[tuple[float, list[np.ndarray]]] = []
-    tried: list[list[tuple[int, bool]]] = []  # per item: (end point, ALS converged) per seed
-    # per block dims: the end points to polish, each with its (canon, polish) problem
-    polishes: dict[tuple[int, ...], dict[int, tuple[np.ndarray, _Polish]]] = {}
-    for elem, partition, outcome in items:
-        dims = tuple(2 ** len(b) for b in partition.blocks)
+    problems: list[tuple[np.ndarray, _Fit]] = []  # (canon, fit) per item
+    groups: dict[tuple[int, ...], list[int]] = {}  # item indices per block dims
+    for k, (elem, partition, outcome) in enumerate(items):
         canon_op = permute_qubits(elem.op, [q for b in partition.blocks for q in b])
-        canon = canon_op.matrix
-        tensor_target = canon.reshape(dims * 2)
         outcome_bits = None
         if outcome is not None:
             by_label = dict(zip(elem.qubit_labels, outcome))
             outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
-
-        seeds: list[tuple[int, bool]] = []
-        seen: list[tuple[np.ndarray, int]] = []
-        pending = False  # a seed of this item awaits its polish
-        for factors0 in _seeds(canon_op, partition.blocks, dims, outcome_bits):
-            factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
-            end = next(
-                (e for prod, e in seen if float(np.abs(prod - prod1).max()) < _DEDUPE_TOL), None
-            )
-            if end is None:
-                end = len(ends)
-                dist = _distance(canon, prod1)
-                ends.append((dist, factors1))
-                seen.append((prod1, end))
-                if dist > _TIE_TOL:
-                    pending = True
-                    polishes.setdefault(dims, {})[end] = (
-                        canon, _polish(canon, dims, factors1, dist, cfg.polish_max_fev)
-                    )
-            seeds.append((end, als_ok))
-            # with no polish pending, the early stop is already decided
-            if not pending:
-                dists = [ends[e][0] for e, _ in seeds]
-                if dists[_seed_order(dists)[0]] <= _EARLY_STOP:
-                    break
-        tried.append(seeds)
-
-    for dims, queue in polishes.items():
-        for end, (factors, dist) in zip(queue, _lockstep(dims, list(queue.values()))):
-            ends[end] = (dist, factors)
-
-    fits = []
-    for (elem, partition, _), seeds in zip(items, tried):
-        best, used = _seed_order([ends[e][0] for e, _ in seeds])
-        end, als_ok = seeds[best]
-        dist, factors = ends[end]
-        fits.append(
-            ProductFit(
-                partition=partition,
-                factors=tuple(
-                    NormalizedElement(HermitianOperator(f, block))
-                    for f, block in zip(factors, partition.blocks)
-                ),
-                distance=float(dist),
-                restarts_used=used,
-                converged=als_ok,
-                qubit_labels=elem.qubit_labels,
-            )
+        problems.append(
+            (canon_op.matrix, _fit(canon_op, partition.blocks, outcome_bits, cfg.polish_max_fev))
         )
-    return fits
+        groups.setdefault(tuple(2 ** len(b) for b in partition.blocks), []).append(k)
+
+    results: list[tuple] = [()] * len(items)
+    for dims, group in groups.items():
+        for k, result in zip(group, _lockstep(dims, [problems[k] for k in group])):
+            results[k] = result
+
+    return [
+        ProductFit(
+            partition=partition,
+            factors=tuple(
+                NormalizedElement(HermitianOperator(f, block))
+                for f, block in zip(factors, partition.blocks)
+            ),
+            distance=float(dist),
+            restarts_used=used,
+            converged=als_ok,
+            qubit_labels=elem.qubit_labels,
+        )
+        for (elem, partition, _), (dist, factors, als_ok, used) in zip(items, results)
+    ]
 
 
 def fit_product(
@@ -507,8 +492,8 @@ def fit_product(
     partition sees an identical problem and returns identical distances.
 
     Ties across seeds within 1e-9 keep the earliest seed; the search stops
-    once a distance of 1e-10 or less is found.  This is fit_products with one
-    item.
+    once a distance of 1e-10 or less is found, and no later seed is run or
+    polished.  This is fit_products with one item.
     """
     return fit_products([(elem, partition, outcome)], config)[0]
 

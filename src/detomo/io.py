@@ -27,6 +27,7 @@ from .crosstalk import CrosstalkReport
 from .entanglement import PptReport
 from .operators import HermitianOperator, Povm
 from .tomography import (
+    MAX_QUBITS,
     FrequencyTable,
     MleDiagnostics,
     PreparationSet,
@@ -144,8 +145,8 @@ def povm_from_dict(doc: dict) -> Povm:
     if not isinstance(doc, dict) or "n" not in doc or "elements" not in doc:
         raise SchemaError("POVM document needs keys 'n' and 'elements'")
     n = doc["n"]
-    if not _is_int(n) or n < 1:
-        raise SchemaError(f"POVM qubit count must be a positive integer, got {n!r}")
+    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
+        raise SchemaError(f"POVM qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
     elements = doc["elements"]
     if not isinstance(elements, dict):
         raise SchemaError("POVM 'elements' must map outcome bitstrings to operators")
@@ -168,7 +169,7 @@ def _dump_json(doc: dict, path: str | Path) -> None:
 def _load_json(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
@@ -196,6 +197,8 @@ def validate_counts(doc: dict) -> None:
         or len(set(qubits)) != len(qubits)
     ):
         raise SchemaError(f"counts 'qubits' must be a list of distinct integers, got {qubits!r}")
+    if len(qubits) > MAX_QUBITS:
+        raise SchemaError(f"counts name {len(qubits)} qubits; supported registers have 1..{MAX_QUBITS}")
     preps = doc.get("preparations")
     if not isinstance(preps, list) or not preps:
         raise SchemaError("counts 'preparations' must be a nonempty list")

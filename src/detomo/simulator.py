@@ -47,7 +47,6 @@ class NoiseSpec:
     w: float = 0.0
     flip_probs: tuple[float, ...] | None = None
     pair: tuple[int, int] = (0, 1)
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
@@ -65,8 +64,6 @@ class NoiseSpec:
         if pair[0] == pair[1]:
             raise ValueError("pair must name two distinct qubits")
         object.__setattr__(self, "pair", pair)
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def _local_flip_elements(n: int, flip: Sequence[float]) -> np.ndarray:

@@ -25,6 +25,8 @@ from .operators import (
 from .optimize import lbfgs
 
 MUB_LABELS = ("0", "1", "+", "-", "+i", "-i")
+# Supported register sizes are 1..MAX_QUBITS qubits.
+MAX_QUBITS = 4
 
 # Single-qubit MUB kets in MUB_LABELS order.
 _MUB_KETS = np.array(
@@ -241,10 +243,10 @@ def mub_preparations(n: int) -> PreparationSet:
     """All 6**n products of single-qubit MUB states, in lexicographic label order.
 
     Overcomplete (6**n > 4**n conditions) but uses only local state
-    preparation. Guarded to n <= 4.
+    preparation. Guarded to n <= MAX_QUBITS.
     """
-    if not 1 <= n <= 4:
-        raise ValueError(f"supported register sizes are 1..4 qubits, got n={n}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"supported register sizes are 1..{MAX_QUBITS} qubits, got n={n}")
     label_tuples = tuple(itertools.product(MUB_LABELS, repeat=n))
     return preparations_from_labels(label_tuples, tuple(range(n)))
 

@@ -71,6 +71,16 @@ def test_simulate_rejects_zero_shots(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_simulate_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    code = run_cli(
+        "simulate", "--n", "2", "--noise", "local_flip", "--seed", "-1", "--out", str(out),
+    )
+    assert code == 2
+    assert "seed must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_missing_out_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--n", "2", "--noise", "local_flip")

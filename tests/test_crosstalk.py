@@ -68,7 +68,7 @@ def bell_element() -> NormalizedElement:
 def local_flip_reconstruction() -> NormalizedElement:
     """Element "00" of a shot-noisy local_flip reconstruction, as the CLI stores it."""
     seed = 1292817571
-    truth = make_noisy_povm(2, NoiseSpec("local_flip", p=0.086, seed=seed))
+    truth = make_noisy_povm(2, NoiseSpec("local_flip", p=0.086))
     doc = sample_counts(truth, mub_preparations(2), shots=8192, seed=seed)
     preps, freq = counts_to_tables(doc)
     povm, _ = mle_reconstruct(freq, preps)
@@ -285,7 +285,7 @@ def _assert_same_fit(a, b):
 def classical_corr_reconstruction_n3() -> Povm:
     """A shot-noisy n=3 classical_corr reconstruction, as the CLI stores it."""
     seed = 1160112201
-    truth = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3, seed=seed))
+    truth = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3))
     doc = sample_counts(truth, mub_preparations(3), shots=8192, seed=seed)
     preps, freq = counts_to_tables(doc)
     povm, _ = mle_reconstruct(freq, preps)
@@ -335,12 +335,12 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
     spy("fit_products", fits, lambda items, config: len(items))
     spy("_lockstep", locksteps, lambda dims, problems: (dims, len(problems)))
     spy("_smoothed", stacks, lambda canon, dims, x, mu: (dims, len(canon)))
-    povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3, seed=1))
+    povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3))
     analyze_povm(povm)
     assert fits == [8 * 4]  # every outcome x (full split and three 1:2 cuts)
     assert [dims for dims, _ in locksteps] == [(2, 2, 2), (2, 4)]
     assert dict(locksteps)[(2, 4)] > 8  # the three cuts share one lockstep
-    # at most 2^n = 8 polishes are live at a time, each with its own inverse Hessian
+    # at most 2^n = 8 fits are live at a time, each polishing with its own inverse Hessian
     assert max(size for _, size in stacks) == 8
 
 
@@ -367,6 +367,38 @@ def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
     _assert_same_fit(fits[0], fit_product(product, SPLIT_01))
     _assert_same_fit(fits[1], fit_product(bell_element(), SPLIT_01, outcome="00"))
     assert fits[1].restarts_used > 1
+
+
+def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
+    # No fit in the suite reaches 1e-10 only after a polish, so the stop is
+    # raised to 0.6.  The classical_corr element's first seed (maximally mixed
+    # partial traces) polishes to 0.5 and stops there, although its second
+    # seed ends its ALS elsewhere (and would reach sqrt(2) - 1).  The Bell
+    # element stays above 0.6 and polishes its two distinct ALS end points.
+    import detomo.crosstalk as ct
+
+    corr, bell = classical_corr_element(), bell_element()
+    seeds = ct._seeds
+    monkeypatch.setattr(ct, "_seeds", lambda *args: iter([next(seeds(*args))]))
+    first_seed = fit_product(corr, SPLIT_01, outcome="00")
+    monkeypatch.setattr(ct, "_seeds", seeds)
+    assert first_seed.distance == pytest.approx(0.5)
+    assert fit_product(corr, SPLIT_01, outcome="00").distance < 0.45
+
+    starts = []
+    polish = ct._polish
+
+    def counted(canon, *args):
+        starts.append(canon.tobytes())
+        return polish(canon, *args)
+
+    monkeypatch.setattr(ct, "_polish", counted)
+    monkeypatch.setattr(ct, "_EARLY_STOP", 0.6)
+    fits = fit_products([(bell, SPLIT_01, "00"), (corr, SPLIT_01, "00")])
+    assert starts.count(corr.matrix.tobytes()) == 1
+    assert starts.count(bell.matrix.tobytes()) == 2
+    _assert_same_fit(fits[1], first_seed)
+    assert fits[0].restarts_used == 3
 
 
 # ------------------------------------------------------------------ analyze

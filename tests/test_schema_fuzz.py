@@ -269,10 +269,11 @@ def _mutate_report(doc: dict, row_keys: dict, data) -> dict:
     return doc
 
 
-def _assert_schema_error(code: int, capsys) -> None:
+def _assert_schema_error(code: int, capsys) -> str:
     err = capsys.readouterr().err
     assert code == 3, err
     assert "schema error" in err
+    return err
 
 
 @FUZZ
@@ -305,6 +306,34 @@ def test_report_exits_3_on_malformed_report(tmp_path, capsys, data, flag):
     path = tmp_path / "report.json"
     path.write_text(json.dumps(doc))
     code = main(["report", flag, str(path), "--out", str(tmp_path / "report.txt")])
+    _assert_schema_error(code, capsys)
+
+
+# Registers past the supported 1..4 qubits are refused before any 2^n table,
+# and without echoing a 2^n-sized outcome list or an n-character bitstring.
+@pytest.mark.parametrize("qubits", [5, 40])
+def test_reconstruct_exits_3_on_oversized_register(tmp_path, capsys, qubits):
+    record = {"labels": ["0"] * qubits, "shots": 1, "counts": {"0" * qubits: 1}}
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps({"version": 1, "qubits": list(range(qubits)),
+                                "preparations": [record]}))
+    code = main(["reconstruct", "--counts", str(path), "--out", str(tmp_path / "povm.json")])
+    assert len(_assert_schema_error(code, capsys)) < 200
+
+
+@pytest.mark.parametrize("n", [5, 100_000_000])
+def test_analyze_exits_3_on_oversized_register(tmp_path, capsys, n):
+    path = tmp_path / "povm.json"
+    path.write_text(json.dumps(dict(BASE_POVM, n=n)))
+    code = main(["analyze", "--povm", str(path), "--out", str(tmp_path / "r")])
+    assert len(_assert_schema_error(code, capsys)) < 200
+
+
+def test_analyze_exits_3_on_integer_past_the_digit_limit(tmp_path, capsys):
+    # json.loads refuses integer literals longer than 4300 digits with a plain ValueError
+    path = tmp_path / "povm.json"
+    path.write_text('{"n": ' + "1" * 5000 + ', "elements": {}}')
+    code = main(["analyze", "--povm", str(path), "--out", str(tmp_path / "r")])
     _assert_schema_error(code, capsys)
 
 

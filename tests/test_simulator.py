@@ -36,8 +36,6 @@ def test_noise_spec_rejects_bad_parameters():
         NoiseSpec(kind="local_flip", flip_probs=(0.1, 2.0))
     with pytest.raises(ValueError):
         NoiseSpec(kind="entangled", pair=(1, 1))
-    with pytest.raises(ValueError):
-        NoiseSpec(kind="local_flip", seed=-1)
 
 
 def test_make_noisy_povm_argument_checks():
