@@ -275,8 +275,8 @@ def _bfgs(
 
     Minimizes the trace norm smoothed at mu: yields each trial point (mu, x)
     and is sent the objective and gradient there.  Stops after max_steps
-    steps, or when no step that still moves x decreases the objective, and
-    returns the end point.
+    steps, or when no step above the step floor (armijo) decreases the
+    objective, and returns the end point.
     """
     f, g = yield mu, x
     for _ in range(max_steps):

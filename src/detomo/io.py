@@ -163,7 +163,10 @@ def povm_from_dict(doc: dict) -> Povm:
 
 
 def _dump_json(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
+    """Write doc as indented JSON and a newline, streamed: the text is never held whole."""
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
 
 
 def _load_json(path: str | Path) -> dict:

@@ -3,7 +3,8 @@
 The crosstalk polish runs dense BFGS on a few dozen variables per problem,
 side by side through generators (crosstalk._bfgs); the MLE runs
 limited-memory BFGS on its thousands of variables through a callable
-objective (lbfgs).  Both take their steps with armijo.
+objective (lbfgs).  Both take their steps with armijo, which gives up at one
+relative step floor, STEP_FLOOR.
 """
 
 from __future__ import annotations
@@ -15,6 +16,11 @@ import numpy as np
 
 # (s, y) pairs the limited-memory inverse Hessian keeps.
 MEMORY = 10
+
+# The step floor: a line search gives up once its step would move x by at
+# most this fraction of max|x|.  Shorter steps change x only in its last
+# bits, so their objective values are float noise.
+STEP_FLOOR = 1e-12
 
 # What an objective gives at a point: (f, gradient, anything the caller
 # wants back with the accepted point).
@@ -28,14 +34,17 @@ def armijo(
 
     Yields each trial point as (tag, x') and is sent the evaluation there,
     (f', g', ...).  Halves the step from 1 until f' < f + 1e-4·t·g·p and
-    returns (x', evaluation), or returns None once no step that still moves
-    x decreases the objective.
+    returns (x', evaluation), or returns None, before evaluating it, at the
+    first step at the step floor: t·max|p| <= STEP_FLOOR·max|x|, or, at
+    x = 0, x + t·p == x.
     """
     slope = float(g @ p)
+    reach = float(np.abs(p).max(initial=0.0))
+    floor = STEP_FLOOR * float(np.abs(x).max(initial=0.0))
     t = 1.0
     while True:
         x_new = x + t * p
-        if np.array_equal(x_new, x):
+        if t * reach <= floor or np.array_equal(x_new, x):
             return None
         evaluation = yield tag, x_new
         if evaluation[0] < f + 1e-4 * t * slope:
@@ -85,9 +94,9 @@ def lbfgs(
     """Limited-memory BFGS from x, whose evaluation is given.
 
     Yields (x, evaluation) after each accepted step; the caller decides when
-    to stop.  When a line search finds no decrease, the memory is dropped and
-    the search retried once along the gradient; if that fails too, no step
-    that still moves x decreases the objective and the iteration ends.
+    to stop.  When a line search finds no decrease above the step floor
+    (armijo), the memory is dropped and the search retried once along the
+    gradient; if that fails too, the iteration ends.
     """
     pairs: deque[tuple[np.ndarray, np.ndarray, float]] = deque(maxlen=MEMORY)
     while True:

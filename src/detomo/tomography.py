@@ -333,12 +333,12 @@ def mle_reconstruct(
     construction; -L is minimized over the complex factors A_i (see
     _objective), starting from A_i = I/sqrt(D), that is M_i = I/D.  One
     iteration is one accepted step.  Iteration stops once a step moves the
-    POVM by sum_i ||M_i - M_i'||_1 < epsilon, when no step lowers -L any
-    more in float64 (even along the gradient), or at max_iters, whichever
-    is first.  The first two count as converged, the last does not; a run
-    stopped by float precision ends with final_delta >= epsilon (or with no
-    iteration at all).  The solver is deterministic, so identical inputs
-    give identical outputs.
+    POVM by sum_i ||M_i - M_i'||_1 < epsilon, when no step above the step
+    floor of optimize.armijo lowers -L, even along the gradient, or at
+    max_iters, whichever is first.  The first two count as converged, the
+    last does not; a run stopped at the step floor ends with final_delta >=
+    epsilon (or with no iteration at all).  The solver is deterministic, so
+    identical inputs give identical outputs.
 
     Returns the reconstructed POVM and per-iteration diagnostics; a run that
     hits max_iters is returned with converged=False rather than raised.
@@ -366,7 +366,7 @@ def mle_reconstruct(
     deltas: list[float] = []
     completeness: list[float] = []
     min_eigs: list[float] = []
-    # true also when lbfgs ends because no step lowers -L in float64
+    # true also when lbfgs ends because no step above the step floor lowers -L
     converged = True
 
     for iterations, (_, (value, _, m_new)) in enumerate(lbfgs(objective, x, start), 1):

@@ -344,6 +344,27 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
     assert max(size for _, size in stacks) == 8
 
 
+def test_polish_work_on_a_fixed_reconstruction(monkeypatch):
+    # Stacked _smoothed rows of one analyze.  Searches that halved on to
+    # x + t·p == x took 12,673 rows; the step floor leaves 6,720.  A count,
+    # not a timing, so it repeats exactly on one machine.
+    import detomo.crosstalk as ct
+
+    preps = mub_preparations(3)
+    doc = sample_counts(make_noisy_povm(3, NoiseSpec("entangled", p=0.4)), preps, shots=2048, seed=7)
+    povm, _ = mle_reconstruct(counts_to_tables(doc)[1], preps)
+    rows = []
+    smoothed = ct._smoothed
+
+    def counted(canons, dims, x, mu):
+        rows.append(len(x))
+        return smoothed(canons, dims, x, mu)
+
+    monkeypatch.setattr(ct, "_smoothed", counted)
+    analyze_povm(povm)
+    assert sum(rows) <= 0.6 * 12673
+
+
 @pytest.mark.parametrize(
     "bad", [Partition(((0, 1, 2),)), Partition(((0,), (1,))), Partition(((0,), (1, 3)))]
 )
