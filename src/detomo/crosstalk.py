@@ -47,6 +47,9 @@ _ALS_MAX_SWEEPS = 500
 _EARLY_STOP = 1e-10
 # The polish smooths the trace norm as tr√(Δ²+μ²I), for each μ in turn.
 _SMOOTHING = (1e-3, 1e-5, 1e-7, 1e-9)
+# A stage before the last ends at its first step that lowers the smoothed
+# trace norm by at most this times μ: it is biased by about 2.5μ anyway.
+_STAGE_TOL = 1e-6
 _START_MIX = 1e-6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -271,24 +274,31 @@ def _smoothed(
 def _bfgs(
     x: np.ndarray, h: np.ndarray, mu: float, max_steps: int
 ) -> Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], np.ndarray]:
-    """BFGS with Armijo backtracking from x, updating the inverse Hessian h in place.
+    """BFGS with interpolating Armijo backtracking from x, updating the
+    inverse Hessian h in place.
 
     Minimizes the trace norm smoothed at mu: yields each trial point (mu, x)
     and is sent the objective and gradient there.  Stops after max_steps
     steps, or when no step above the step floor (armijo) decreases the
-    objective, and returns the end point.
+    objective, and returns the end point.  At a mu above the last smoothing
+    it also stops at the first step that lowers the objective by at most
+    _STAGE_TOL·mu, and returns that step's point without updating h.
     """
+    tol = _STAGE_TOL * mu if mu > _SMOOTHING[-1] else -math.inf
     f, g = yield mu, x
     for _ in range(max_steps):
-        step = yield from armijo(x, f, g, -h @ g, mu)
+        step = yield from armijo(x, f, g, -h @ g, mu, interpolate=True)
         if step is None:
             return x
         x_new, (f_new, g_new) = step
+        if f - f_new <= tol:
+            return x_new
         s, y = x_new - x, g_new - g
         sy = float(s @ y)
         if sy > 0.0:
             hy = h @ y
-            h += ((sy + y @ hy) / sy**2) * np.outer(s, s) - (np.outer(hy, s) + np.outer(s, hy)) / sy
+            ss, hys = s[:, None] * s, hy[:, None] * s  # np.outer, bit for bit
+            h += ((sy + y @ hy) / sy**2) * ss - (hys + hys.T) / sy
         x, f, g = x_new, f_new, g_new
     return x
 
@@ -303,9 +313,10 @@ def _polish(
     """BFGS on the factor roots against the trace norm smoothed at shrinking μ.
 
     Each stage starts where the previous one ended, with its curvature
-    estimate; the end point with the smallest true distance wins, or the
-    starting factors if none improves.  A generator driven by _fit; it
-    returns (factors, distance).
+    estimate.  The stages before the last end once a step gains at most
+    _STAGE_TOL·μ, the last at the step floor (_bfgs).  The end point with
+    the smallest true distance wins, or the starting factors if none
+    improves.  A generator driven by _fit; it returns (factors, distance).
     """
     if max_steps == 0:
         return factors, start_distance
@@ -575,9 +586,13 @@ def analyze_povm(
 
     Elements with trace below 1e-10 carry no usable signal and are listed in
     skipped_outcomes instead of being normalized.  Every usable outcome and
-    partition is fitted in one fit_products call, in row order.
+    partition is fitted in one fit_products call, in row order; a partition
+    given twice is refused before any fit runs.
     """
     parts = tuple(partitions) if partitions is not None else default_partitions(povm.qubit_labels)
+    for k, partition in enumerate(parts):
+        if partition in parts[:k]:
+            raise ValueError(f"partition {partition.label()} is given twice")
     usable, skipped = usable_elements(povm)
     items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
     d_n = {outcome: total_error(elem, outcome) for outcome, elem in usable}

@@ -4,7 +4,9 @@ The crosstalk polish runs dense BFGS on a few dozen variables per problem,
 side by side through generators (crosstalk._bfgs); the MLE runs
 limited-memory BFGS on its thousands of variables through a callable
 objective (lbfgs).  Both take their steps with armijo, which gives up at one
-relative step floor, STEP_FLOOR.
+relative step floor, STEP_FLOOR.  The MLE's searches halve the step; the
+polish's interpolate it, which needs fewer trial points for the same
+sufficient decrease.
 """
 
 from __future__ import annotations
@@ -28,28 +30,41 @@ Evaluation = tuple[Any, ...]
 
 
 def armijo(
-    x: np.ndarray, f: float, g: np.ndarray, p: np.ndarray, tag: Any = None
+    x: np.ndarray,
+    f: float,
+    g: np.ndarray,
+    p: np.ndarray,
+    tag: Any = None,
+    *,
+    interpolate: bool = False,
 ) -> Generator[tuple[Any, np.ndarray], Evaluation, tuple[np.ndarray, Evaluation] | None]:
     """Backtracking line search from x along the direction p.
 
     Yields each trial point as (tag, x') and is sent the evaluation there,
-    (f', g', ...).  Halves the step from 1 until f' < f + 1e-4·t·g·p and
+    (f', g', ...).  Tries steps t from 1 until f' < f + 1e-4·t·g·p and
     returns (x', evaluation), or returns None, before evaluating it, at the
-    first step at the step floor: t·max|p| <= STEP_FLOOR·max|x|, or, at
-    x = 0, x + t·p == x.
+    first step at the step floor: t·max|p| <= STEP_FLOOR·max|x|.  At x = 0
+    the floor is 0, so the search ends where t·max|p| underflows.
+
+    After a rejected step the next one is t/2, or, with interpolate, the
+    minimizer of the quadratic through f, the slope g·p and f', clipped to
+    [t/10, t/2] (halving when that quadratic has no minimum, or f' is NaN).
     """
     slope = float(g @ p)
     reach = float(np.abs(p).max(initial=0.0))
     floor = STEP_FLOOR * float(np.abs(x).max(initial=0.0))
     t = 1.0
-    while True:
+    while t * reach > floor:
         x_new = x + t * p
-        if t * reach <= floor or np.array_equal(x_new, x):
-            return None
         evaluation = yield tag, x_new
         if evaluation[0] < f + 1e-4 * t * slope:
             return x_new, evaluation
-        t *= 0.5
+        excess = evaluation[0] - f - slope * t  # f' above the tangent line
+        if interpolate and excess > 0.0:
+            t = min(max(-slope * t * t / (2.0 * excess), 0.1 * t), 0.5 * t)
+        else:
+            t *= 0.5
+    return None
 
 
 def _line_search(

@@ -218,6 +218,19 @@ def test_analyze_rejects_malformed_partition(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_analyze_rejects_a_partition_given_twice(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("detomo.crosstalk.fit_products", pytest.fail)
+    povm_path = tmp_path / "ideal.json"
+    save_povm(ideal_povm(2), povm_path)
+    code = run_cli(
+        "analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"),
+        "--partitions", "0:1", "--partitions", "0:(1)",
+    )
+    assert code == 2
+    assert capsys.readouterr().err == "error: partition 0:1 is given twice\n"
+    assert sorted(tmp_path.iterdir()) == [povm_path]
+
+
 def _set_entry(doc, part, value):
     doc["elements"]["00"][part][0][0] = value
 

@@ -1,3 +1,5 @@
+from itertools import groupby
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -346,8 +348,9 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
 
 def test_polish_work_on_a_fixed_reconstruction(monkeypatch):
     # Stacked _smoothed rows of one analyze.  Searches that halved on to
-    # x + t·p == x took 12,673 rows; the step floor leaves 6,720.  A count,
-    # not a timing, so it repeats exactly on one machine.
+    # x + t·p == x took 12,673 rows; the step floor left 6,720, and
+    # interpolated steps with the early end of the stages before μ = 1e-9
+    # leave 2,438.  A count, not a timing, so it repeats exactly on one machine.
     import detomo.crosstalk as ct
 
     preps = mub_preparations(3)
@@ -362,7 +365,38 @@ def test_polish_work_on_a_fixed_reconstruction(monkeypatch):
 
     monkeypatch.setattr(ct, "_smoothed", counted)
     analyze_povm(povm)
-    assert sum(rows) <= 0.6 * 12673
+    assert sum(rows) <= 0.5 * 6720
+
+
+def test_polish_stages_end_on_a_small_decrease_and_the_last_at_the_floor(monkeypatch):
+    # A stage before μ = 1e-9 ends at its first accepted step that lowers the
+    # smoothed distance by at most _STAGE_TOL·μ; the last stage runs on until
+    # no step above the step floor lowers it.
+    import detomo.crosstalk as ct
+
+    searches = []  # (μ, f at the start, f at the accepted point or None)
+    armijo = ct.armijo
+
+    def recorded(x, f, g, p, tag=None, **kwargs):
+        step = yield from armijo(x, f, g, p, tag, **kwargs)
+        searches.append((tag, f, None if step is None else step[1][0]))
+        return step
+
+    monkeypatch.setattr(ct, "armijo", recorded)
+    fit = fit_product(random_element(3, np.random.default_rng(43)), Partition(((0,), (1, 2))))
+    assert fit.distance > 1e-3
+    stages = [list(stage) for _, stage in groupby(searches, key=lambda search: search[0])]
+    polishes = len(stages) // len(ct._SMOOTHING)
+    assert polishes > 0 and [stage[0][0] for stage in stages] == list(ct._SMOOTHING) * polishes
+    for stage in stages:
+        mu = stage[0][0]
+        tol = ct._STAGE_TOL * mu if mu > ct._SMOOTHING[-1] else 0.0
+        assert all(f_new is not None and f - f_new > tol for _, f, f_new in stage[:-1])
+        _, f, f_new = stage[-1]
+        if mu > ct._SMOOTHING[-1]:
+            assert f_new is not None and f - f_new <= tol
+        else:
+            assert f_new is None
 
 
 @pytest.mark.parametrize(

@@ -41,12 +41,13 @@ def _quadratic(a):
     return lambda x: (0.5 * float(x @ a @ x), a @ x)
 
 
-def test_search_without_decrease_stops_at_the_floor():
+@pytest.mark.parametrize("interpolate", [False, True], ids=["halve", "interpolate"])
+def test_search_without_decrease_stops_at_the_floor(interpolate):
     rng = np.random.default_rng(3)
     x = rng.standard_normal(12) * 40.0
     g = rng.standard_normal(12)
     p = -g * 7.0
-    result, trials = _drive(armijo(x, 0.0, g, p), lambda y: (1.0, g))
+    result, trials = _drive(armijo(x, 0.0, g, p, interpolate=interpolate), lambda y: (1.0, g))
     assert result is None
     ratio = np.abs(p).max() / (STEP_FLOOR * np.abs(x).max())
     assert 0 < len(trials) <= math.ceil(math.log2(ratio)) + 1
@@ -77,9 +78,39 @@ def test_search_above_the_floor_accepts_the_same_point():
     assert counts[-1] > 10
 
 
+def test_interpolated_search_accepts_a_long_first_step_in_fewer_trials():
+    # the scale = 1e4 case above: halving needs more than 10 trial points
+    rng = np.random.default_rng(4)
+    m = rng.standard_normal((8, 8))
+    objective = _quadratic(m @ m.T + 0.1 * np.eye(8))
+    x = rng.standard_normal(8)
+    f, g = objective(x)
+    p = -1e4 * g
+    halved, halved_trials = _drive(armijo(x, f, g, p), objective)
+    new, trials = _drive(armijo(x, f, g, p, interpolate=True), objective)
+    assert halved is not None and new is not None
+    assert len(halved_trials) > 10 and len(trials) <= len(halved_trials) // 2
+    # the step t of each trial point x + t·p, in order; the last is accepted
+    steps = [float((trial - x) @ p) / float(p @ p) for trial in trials]
+    assert steps[0] == pytest.approx(1.0)
+    assert new[1][0] < f + 1e-4 * steps[-1] * float(g @ p)
+    for t, t_next in zip(steps, steps[1:]):
+        assert 0.1 - 1e-12 <= t_next / t <= 0.5 + 1e-12
+
+
 def test_zero_direction_returns_none_without_a_trial_point():
     x = np.arange(1.0, 6.0)
     result, trials = _drive(armijo(x, 0.0, np.ones(5), np.zeros(5)), pytest.fail)
+    assert result is None and trials == []
+
+
+@pytest.mark.parametrize("nan_in", ["x", "p"])
+def test_search_with_nan_returns_none_without_a_trial_point(nan_in):
+    # NaN makes t·max|p| > STEP_FLOOR·max|x| false, so the search ends before
+    # any trial point; halving on until x + t·p == x never ended it
+    x, p = np.ones(3), -np.ones(3)
+    (x if nan_in == "x" else p)[0] = np.nan
+    result, trials = _drive(armijo(x, 0.0, np.ones(3), p), pytest.fail)
     assert result is None and trials == []
 
 
