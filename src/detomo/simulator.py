@@ -146,9 +146,12 @@ def sample_counts(
 ) -> dict:
     """Draw multinomial counts for every preparation; returns a counts document.
 
-    Sampling is inverse-CDF on a counter-based generator keyed by
-    (seed, preparation index), so any preparation's counts are reproducible
-    independently of the others.  Zero counts are omitted from the document.
+    Each preparation's counts are one multinomial draw of `shots` over its
+    normalized Born probabilities, on a counter-based Philox generator keyed
+    by (seed, preparation index): the law of the counts of `shots`
+    independent outcomes, at a cost set by the number of outcomes, not of
+    shots.  Any preparation's counts are reproducible independently of the
+    others.  Zero counts are omitted from the document.
     """
     if povm.qubit_labels != preps.qubit_labels:
         raise ValueError(
@@ -164,11 +167,8 @@ def sample_counts(
     outcomes = povm.outcomes
     preparations = []
     for k, p in enumerate(born_matrix(povm, preps).T):
-        cdf = np.cumsum(p / p.sum())
-        cdf[-1] = 1.0
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
-        idx = np.searchsorted(cdf, rng.random(shots), side="right")
-        counts = np.bincount(idx, minlength=len(outcomes))
+        counts = rng.multinomial(shots, p / p.sum())
         preparations.append(
             {
                 "labels": list(preps.labels[k]),

@@ -350,7 +350,8 @@ def test_polish_work_on_a_fixed_reconstruction(monkeypatch):
     # Stacked _smoothed rows of one analyze.  Searches that halved on to
     # x + t·p == x took 12,673 rows; the step floor left 6,720, and
     # interpolated steps with the early end of the stages before μ = 1e-9
-    # leave 2,438.  A count, not a timing, so it repeats exactly on one machine.
+    # left 2,438.  On the multinomial sampler's counts of the same seed they
+    # leave 2,434.  A count, not a timing, so it repeats exactly on one machine.
     import detomo.crosstalk as ct
 
     preps = mub_preparations(3)

@@ -196,14 +196,12 @@ def test_sample_counts_argument_checks():
 
 
 def _reference_counts(povm, preps, shots, seed):
-    """Per-probe dense Born probabilities, inverse-CDF on Philox keyed by (seed, k)."""
+    """Per-probe dense Born probabilities, one multinomial on Philox keyed by (seed, k)."""
     preparations = []
     for k, rho in enumerate(dense_states(preps)):
         p = born_probabilities(povm, rho)
-        cdf = np.cumsum(p / p.sum())
-        cdf[-1] = 1.0
         rng = np.random.Generator(np.random.Philox(key=np.array([seed, k], dtype=np.uint64)))
-        counts = np.bincount(np.searchsorted(cdf, rng.random(shots), side="right"), minlength=len(p))
+        counts = rng.multinomial(shots, p / p.sum())
         preparations.append(
             {
                 "labels": list(preps.labels[k]),
@@ -221,4 +219,21 @@ def test_sample_counts_matches_dense_reference_sampler(n, shots):
     preps = mub_preparations(n)
     for seed in (0, 7):
         doc = sample_counts(povm, preps, shots=shots, seed=seed)
-        assert json.dumps(doc) == json.dumps(_reference_counts(povm, preps, shots, seed))
+        ref = _reference_counts(povm, preps, shots, seed)
+        header = lambda d: json.dumps({**d, "preparations": len(d["preparations"])})
+        assert header(doc) == header(ref)
+        # one record at a time, so a mismatch names its probe instead of diffing the document
+        for k, (got, want) in enumerate(zip(doc["preparations"], ref["preparations"])):
+            assert json.dumps(got) == json.dumps(want), f"seed {seed}, preparation {k}"
+
+
+def test_sample_counts_keys_each_preparation_by_its_index():
+    # a probe's counts depend only on (seed, its index): sampling a prefix of
+    # the probe list reproduces the full document's first records
+    povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", p=0.02, w=0.3))
+    full = mub_preparations(2)
+    head = preparations_from_labels(full.labels[:7], full.qubit_labels)
+    doc = sample_counts(povm, full, shots=8192, seed=5)
+    part = sample_counts(povm, head, shots=8192, seed=5)
+    assert len(doc["preparations"]) == 36
+    assert json.dumps(part["preparations"]) == json.dumps(doc["preparations"][:7])
