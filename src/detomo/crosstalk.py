@@ -50,6 +50,9 @@ _SMOOTHING = (1e-3, 1e-5, 1e-7, 1e-9)
 # A stage before the last ends at its first step that lowers the smoothed
 # trace norm by at most this times μ: it is biased by about 2.5μ anyway.
 _STAGE_TOL = 1e-6
+# A safety stop on BFGS steps per smoothing stage: on the benchmark's n=2-4
+# truths and reconstructions no stage took more than 187.
+_MAX_STEPS = 2000
 _START_MIX = 1e-6
 
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
@@ -124,17 +127,6 @@ def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
     if len(labels) == 2:
         return (full_split(labels),)
     return (full_split(labels),) + bipartitions(labels)
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """BFGS steps of the polish per smoothing stage; 0 skips the polish."""
-
-    polish_max_fev: int = 2000
-
-    def __post_init__(self) -> None:
-        if self.polish_max_fev < 0:
-            raise ValueError("polish_max_fev must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -272,13 +264,13 @@ def _smoothed(
 
 
 def _bfgs(
-    x: np.ndarray, h: np.ndarray, mu: float, max_steps: int
+    x: np.ndarray, h: np.ndarray, mu: float
 ) -> Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], np.ndarray]:
     """BFGS with interpolating Armijo backtracking from x, updating the
     inverse Hessian h in place.
 
     Minimizes the trace norm smoothed at mu: yields each trial point (mu, x)
-    and is sent the objective and gradient there.  Stops after max_steps
+    and is sent the objective and gradient there.  Stops after _MAX_STEPS
     steps, or when no step above the step floor (armijo) decreases the
     objective, and returns the end point.  At a mu above the last smoothing
     it also stops at the first step that lowers the objective by at most
@@ -286,7 +278,7 @@ def _bfgs(
     """
     tol = _STAGE_TOL * mu if mu > _SMOOTHING[-1] else -math.inf
     f, g = yield mu, x
-    for _ in range(max_steps):
+    for _ in range(_MAX_STEPS):
         step = yield from armijo(x, f, g, -h @ g, mu, interpolate=True)
         if step is None:
             return x
@@ -308,7 +300,6 @@ def _polish(
     dims: tuple[int, ...],
     factors: list[np.ndarray],
     start_distance: float,
-    max_steps: int,
 ) -> _Fit:
     """BFGS on the factor roots against the trace norm smoothed at shrinking μ.
 
@@ -318,8 +309,6 @@ def _polish(
     the smallest true distance wins, or the starting factors if none
     improves.  A generator driven by _fit; it returns (factors, distance).
     """
-    if max_steps == 0:
-        return factors, start_distance
     # A little identity lets a rank-deficient factor grow rank: a zero
     # column of its root would never receive gradient.
     mixed = [(1.0 - _START_MIX) * f + _START_MIX * np.eye(d) / d for f, d in zip(factors, dims)]
@@ -328,7 +317,7 @@ def _polish(
     h = np.eye(x.size)
     best, best_distance = factors, start_distance
     for mu in _SMOOTHING:
-        x = yield from _bfgs(x, h, mu, max_steps)
+        x = yield from _bfgs(x, h, mu)
         cand = [f[0] for f in _unroot(x[None], dims)[2]]
         dist = _distance(canon, kron(cand))
         if dist < best_distance:
@@ -397,7 +386,6 @@ def _fit(
     canon_op: HermitianOperator,
     blocks: Sequence[tuple[int, ...]],
     outcome_bits: list[str] | None,
-    max_steps: int,
 ) -> _Fit:
     """One product fit of the element canon_op, its blocks on contiguous axes.
 
@@ -418,7 +406,7 @@ def _fit(
         if end is None:
             dist = _distance(canon, prod1)
             if dist > _TIE_TOL:
-                factors1, dist = yield from _polish(canon, dims, factors1, dist, max_steps)
+                factors1, dist = yield from _polish(canon, dims, factors1, dist)
             end = (prod1, dist, factors1)
             ends.append(end)
         _, dist, factors = end
@@ -431,7 +419,6 @@ def _fit(
 
 def fit_products(
     items: Sequence[tuple[NormalizedElement, Partition, str | None]],
-    config: FitConfig | None = None,
 ) -> list[ProductFit]:
     """fit_product for each (element, partition, outcome) item.
 
@@ -440,7 +427,6 @@ def fit_products(
     stacked objective evaluation per polish step (_lockstep); each keeps its
     own path bit for bit, so every fit is identical to a lone fit_product call.
     """
-    cfg = config or FitConfig()
     for elem, partition, _ in items:
         if len(partition.blocks) < 2:
             raise ValueError("crosstalk queries need at least two blocks")
@@ -457,9 +443,7 @@ def fit_products(
         if outcome is not None:
             by_label = dict(zip(elem.qubit_labels, outcome))
             outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
-        problems.append(
-            (canon_op.matrix, _fit(canon_op, partition.blocks, outcome_bits, cfg.polish_max_fev))
-        )
+        problems.append((canon_op.matrix, _fit(canon_op, partition.blocks, outcome_bits)))
         groups.setdefault(tuple(2 ** len(b) for b in partition.blocks), []).append(k)
 
     results: list[tuple] = [()] * len(items)
@@ -486,7 +470,6 @@ def fit_products(
 def fit_product(
     elem: NormalizedElement,
     partition: Partition,
-    config: FitConfig | None = None,
     outcome: str | None = None,
 ) -> ProductFit:
     """Nearest product element across a partition, by two-stage local search.
@@ -494,19 +477,20 @@ def fit_product(
     Stage one runs alternating closed-form Frobenius updates from each seed;
     stage two polishes the trace distance itself by BFGS over square roots
     of the factors, on the smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3,
-    1e-5, 1e-7 and 1e-9 in turn.  The three seeds, in order, are the
-    block partial traces, a basis projector (the outcome's when given, else
-    the dominant diagonal) and maximally mixed factors; a seed whose first
-    stage ends where an earlier seed's did reuses that result instead of
-    polishing again.  The fit is carried out with the partition blocks
-    permuted to contiguous axes, so a consistent relabeling of qubits and
-    partition sees an identical problem and returns identical distances.
+    1e-5, 1e-7 and 1e-9 in turn, at most 2000 steps each (_MAX_STEPS).
+    The three seeds, in order, are the block partial traces, a basis
+    projector (the outcome's when given, else the dominant diagonal) and
+    maximally mixed factors; a seed whose first stage ends where an earlier
+    seed's did reuses that result instead of polishing again.  The fit is
+    carried out with the partition blocks permuted to contiguous axes, so a
+    consistent relabeling of qubits and partition sees an identical problem
+    and returns identical distances.
 
     Ties across seeds within 1e-9 keep the earliest seed; the search stops
     once a distance of 1e-10 or less is found, and no later seed is run or
     polished.  This is fit_products with one item.
     """
-    return fit_products([(elem, partition, outcome)], config)[0]
+    return fit_products([(elem, partition, outcome)])[0]
 
 
 def total_error(elem: NormalizedElement, outcome: str) -> float:
@@ -517,11 +501,10 @@ def total_error(elem: NormalizedElement, outcome: str) -> float:
 def crosstalk_error(
     elem: NormalizedElement,
     partition: Partition,
-    config: FitConfig | None = None,
     outcome: str | None = None,
 ) -> float:
     """Distance to the nearest product element across the partition."""
-    return fit_product(elem, partition, config, outcome).distance
+    return fit_product(elem, partition, outcome).distance
 
 
 def local_error(fit: ProductFit, outcome: str) -> float:
@@ -549,7 +532,6 @@ class CrosstalkReport:
     qubit_labels: tuple[int, ...]
     rows: tuple[CrosstalkRow, ...]
     skipped_outcomes: tuple[str, ...]
-    resolution: float = DC_RESOLUTION
 
     @property
     def max_triangle_residual(self) -> float:
@@ -580,14 +562,14 @@ def usable_elements(povm: Povm) -> tuple[list[tuple[str, NormalizedElement]], tu
 def analyze_povm(
     povm: Povm,
     partitions: Sequence[Partition] | None = None,
-    config: FitConfig | None = None,
 ) -> CrosstalkReport:
     """Total/crosstalk/local error decomposition for every element.
 
     Elements with trace below 1e-10 carry no usable signal and are listed in
     skipped_outcomes instead of being normalized.  Every usable outcome and
     partition is fitted in one fit_products call, in row order; a partition
-    given twice is refused before any fit runs.
+    given twice is refused before any fit runs.  A row is resolved when its
+    D_C exceeds DC_RESOLUTION.
     """
     parts = tuple(partitions) if partitions is not None else default_partitions(povm.qubit_labels)
     for k, partition in enumerate(parts):
@@ -597,7 +579,7 @@ def analyze_povm(
     items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
     d_n = {outcome: total_error(elem, outcome) for outcome, elem in usable}
     rows = []
-    for (_, partition, outcome), fit in zip(items, fit_products(items, config)):
+    for (_, partition, outcome), fit in zip(items, fit_products(items)):
         d_c = fit.distance
         d_l = local_error(fit, outcome)
         rows.append(

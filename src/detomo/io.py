@@ -8,8 +8,8 @@ Measured floats (MLE diagnostics traces, crosstalk distances, partial-
 transpose eigenvalues) are written at MEASURED_DECIMALS places and a
 reconstructed POVM is stored on a 10**-POVM_DECIMALS grid, so that the files
 do not carry the last bits of LAPACK/BLAS rounding and agree across builds.
-Configuration echoes, `resolution`, `ppt_tol` and POVM files passed to
-save_povm are written exactly as given.
+Configuration echoes, `ppt_tol` and POVM files passed to save_povm are
+written exactly as given; `resolution` is the fixed DC_RESOLUTION.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .crosstalk import CrosstalkReport
+from .crosstalk import DC_RESOLUTION, CrosstalkReport
 from .entanglement import PptReport
 from .operators import HermitianOperator, Povm
 from .tomography import (
@@ -47,6 +47,8 @@ CROSSTALK_CSV_COLUMNS = (
 PPT_CSV_COLUMNS = ("outcome", "bipartition", "min_eigenvalue", "negativity", "verdict")
 MEASURED_DECIMALS = 10
 POVM_DECIMALS = 12
+# Shots and counts are held as int64 (counts_to_tables).
+_INT64_MAX = 2**63 - 1
 
 
 class SchemaError(ValueError):
@@ -214,8 +216,10 @@ def validate_counts(doc: dict) -> None:
         if not isinstance(labels, list) or len(labels) != n:
             raise SchemaError(f"{where}: 'labels' must list one state label per qubit")
         shots = rec.get("shots")
-        if not _is_int(shots) or shots < 1:
-            raise SchemaError(f"{where}: 'shots' must be a positive integer, got {shots!r}")
+        if not _is_int(shots) or not 1 <= shots <= _INT64_MAX:
+            raise SchemaError(
+                f"{where}: 'shots' must be an integer in 1..2**63 - 1, got {shots!r}"
+            )
         counts = rec.get("counts")
         if not isinstance(counts, dict):
             raise SchemaError(f"{where}: 'counts' must map outcome bitstrings to counts")
@@ -223,8 +227,8 @@ def validate_counts(doc: dict) -> None:
         for key, value in counts.items():
             if len(key) != n or any(c not in "01" for c in key):
                 raise SchemaError(f"{where}: outcome key {key!r} is not a {n}-bit string")
-            if not _is_int(value) or value < 0:
-                raise SchemaError(f"{where}: count for {key!r} must be a non-negative integer")
+            if not _is_int(value) or not 0 <= value <= _INT64_MAX:
+                raise SchemaError(f"{where}: count for {key!r} must be an integer in 0..2**63 - 1")
             total += value
         if total != shots:
             raise SchemaError(
@@ -289,7 +293,7 @@ def crosstalk_report_to_dict(report: CrosstalkReport, metadata: dict | None = No
     qubits = ",".join(map(str, report.qubit_labels))
     return {
         "qubits": list(report.qubit_labels),
-        "resolution": report.resolution,
+        "resolution": DC_RESOLUTION,
         "rows": [
             {
                 "qubits": qubits,

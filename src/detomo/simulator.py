@@ -151,7 +151,9 @@ def sample_counts(
     by (seed, preparation index): the law of the counts of `shots`
     independent outcomes, at a cost set by the number of outcomes, not of
     shots.  Any preparation's counts are reproducible independently of the
-    others.  Zero counts are omitted from the document.
+    others.  Zero counts are omitted from the document.  Shots run up to
+    2**63 - 1 and seeds up to 2**64 - 1, the largest numpy's sampler and
+    the Philox key hold.
     """
     if povm.qubit_labels != preps.qubit_labels:
         raise ValueError(
@@ -160,9 +162,13 @@ def sample_counts(
     shots = int(shots)
     if shots < 1:
         raise ValueError("shots must be positive")
+    if shots > np.iinfo(np.int64).max:
+        raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
     seed = 0 if seed is None else int(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
+    if seed > np.iinfo(np.uint64).max:
+        raise ValueError(f"seed must be at most 2**64 - 1, got {seed}")
 
     outcomes = povm.outcomes
     preparations = []

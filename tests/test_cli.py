@@ -81,6 +81,38 @@ def test_simulate_rejects_negative_seed(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def _simulate_then_reconstruct_huge_counts(tmp_path):
+    counts = tmp_path / "counts.json"
+    run_cli(
+        "simulate", "--n", "2", "--noise", "local_flip", "--shots", "8", "--out", str(counts),
+    )
+    doc = json.loads(counts.read_text())
+    _set_first_record(doc, shots=2**63, counts={"00": 2**63})
+    counts.write_text(json.dumps(doc))
+    return run_cli("reconstruct", "--counts", str(counts), "--out", str(tmp_path / "p.json"))
+
+
+@pytest.mark.parametrize(
+    "run, code, message",
+    [
+        (lambda tmp: run_cli(
+            "simulate", "--n", "2", "--noise", "local_flip", "--p", "0.1",
+            "--shots", str(2**63), "--out", str(tmp / "x.json"),
+        ), 2, "error: shots must be at most 2**63 - 1"),
+        (lambda tmp: run_cli(
+            "simulate", "--n", "2", "--noise", "local_flip", "--p", "0.1",
+            "--seed", str(2**64), "--out", str(tmp / "x.json"),
+        ), 2, "error: seed must be at most 2**64 - 1"),
+        (_simulate_then_reconstruct_huge_counts, 3, "schema error: preparation 0: 'shots'"),
+    ],
+    ids=["simulate-shots", "simulate-seed", "reconstruct-shots"],
+)
+def test_integers_past_numpy_range_are_refused(tmp_path, capsys, run, code, message):
+    assert run(tmp_path) == code
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "p.json").exists()
+
+
 def test_simulate_missing_out_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--n", "2", "--noise", "local_flip")

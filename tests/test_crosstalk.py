@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from conftest import random_element
 from detomo import (
     DC_RESOLUTION,
-    FitConfig,
     HermitianOperator,
     NormalizedElement,
     Partition,
@@ -210,11 +209,6 @@ def test_fit_product_partition_must_cover_element():
         fit_product(elem, Partition(((0, 1),)))
 
 
-def test_fit_config_validation():
-    with pytest.raises(ValueError):
-        FitConfig(polish_max_fev=-1)
-
-
 def test_crosstalk_error_permutation_equivariance():
     rng = np.random.default_rng(17)
     elem = random_element(3, rng)
@@ -334,7 +328,7 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
 
         monkeypatch.setattr(ct, name, wrapped)
 
-    spy("fit_products", fits, lambda items, config: len(items))
+    spy("fit_products", fits, lambda items: len(items))
     spy("_lockstep", locksteps, lambda dims, problems: (dims, len(problems)))
     spy("_smoothed", stacks, lambda canon, dims, x, mu: (dims, len(canon)))
     povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3))
@@ -457,6 +451,28 @@ def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
     assert fits[0].restarts_used == 3
 
 
+def test_polish_keeps_its_als_start_when_no_stage_ends_closer(monkeypatch):
+    # On shot-noisy entangled reconstructions about half the polishes end no
+    # closer than their ALS start, which they then return unchanged.
+    import detomo.crosstalk as ct
+
+    polishes = []  # (start factors, start distance, returned factors, returned distance)
+    polish = ct._polish
+
+    def recorded(canon, dims, factors, start_distance):
+        best, distance = yield from polish(canon, dims, factors, start_distance)
+        polishes.append((factors, start_distance, best, distance))
+        return best, distance
+
+    monkeypatch.setattr(ct, "_polish", recorded)
+    preps = mub_preparations(2)
+    doc = sample_counts(make_noisy_povm(2, NoiseSpec("entangled", p=0.4)), preps, shots=8192, seed=1)
+    povm, _ = mle_reconstruct(counts_to_tables(doc)[1], preps)
+    analyze_povm(round_povm(povm))
+    assert all(distance <= start for _, start, _, distance in polishes)
+    assert any(best is start for start, _, best, _ in polishes)
+
+
 # ------------------------------------------------------------------ analyze
 
 
@@ -480,7 +496,7 @@ def test_analyze_flags_resolved_crosstalk():
     by_outcome = {r.outcome: r for r in report.rows}
     assert by_outcome["00"].d_c == pytest.approx(ORACLE_CLASSICAL_CORR_DC, abs=0.02)
     assert by_outcome["00"].resolved
-    assert report.resolution == DC_RESOLUTION
+    assert all(r.resolved == (r.d_c > DC_RESOLUTION) for r in report.rows)
 
 
 def test_analyze_skips_near_zero_elements():

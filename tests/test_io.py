@@ -6,6 +6,7 @@ import pytest
 from conftest import random_element, random_povm
 from detomo import (
     CROSSTALK_CSV_COLUMNS,
+    DC_RESOLUTION,
     PPT_CSV_COLUMNS,
     CrosstalkReport,
     CrosstalkRow,
@@ -224,7 +225,7 @@ def test_crosstalk_json_rows_carry_diagnostics(tmp_path):
     for key in ("triangle_residual", "resolved", "converged", "restarts_used"):
         assert key in row
     assert doc["metadata"] == {"created_at": "now"}
-    assert doc["resolution"] == report.resolution
+    assert doc["resolution"] == DC_RESOLUTION
 
 
 def test_config_hash_ignores_key_order():
@@ -306,15 +307,14 @@ def test_measured_fields_are_written_at_ten_decimals():
 
 
 def test_configuration_echoes_are_written_as_given(tmp_path):
-    resolution, ppt_tol = 1.2345678901234567e-3, 9.87654321012345e-14
+    ppt_tol = 9.87654321012345e-14
     meta = {"config": {"epsilon": 1.2345678901234567e-13, "ppt_tol": ppt_tol, "seed": 7}}
-    xreport = CrosstalkReport((0, 1), (_xrow(0.1, 0.05, 0.06, -0.01),), (), resolution)
+    xreport = CrosstalkReport((0, 1), (_xrow(0.1, 0.05, 0.06, -0.01),), ())
     preport = PptReport((0, 1), (), (), ppt_tol)
     write_crosstalk_json(xreport, tmp_path / "x.json", meta)
     write_ppt_json(preport, tmp_path / "p.json", meta)
     xdoc = json.loads((tmp_path / "x.json").read_text())
     pdoc = json.loads((tmp_path / "p.json").read_text())
-    assert xdoc["resolution"] == resolution
     assert pdoc["ppt_tol"] == ppt_tol
     assert xdoc["metadata"] == meta and pdoc["metadata"] == meta
 
