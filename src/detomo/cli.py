@@ -18,7 +18,7 @@ from .crosstalk import Partition, analyze_povm
 from .entanglement import PPT_TOL, classify_povm
 from .operators import NumericalFailureError
 from .simulator import NOISE_KINDS, NoiseSpec, make_noisy_povm, sample_counts
-from .tomography import MleConfig, mle_reconstruct, mub_preparations
+from .tomography import mle_reconstruct, mub_preparations
 # not called here: perfbench/run.py wraps cli.log_likelihood by name in traced runs
 from .tomography import log_likelihood  # noqa: F401
 
@@ -47,8 +47,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(pair) != 2:
         raise ValueError(f"--pair expects two comma-separated qubits, got {args.pair!r}")
     spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair)
-    povm = make_noisy_povm(args.n, spec)
+    # the probe set refuses n outside 1..4 before the 8**n-sized POVM is built
     preps = mub_preparations(args.n)
+    povm = make_noisy_povm(args.n, spec)
     doc = sample_counts(povm, preps, shots=args.shots, seed=args.seed)
     dio.save_counts(doc, args.out)
     truth_out = args.truth_out or _sibling(args.out, "truth")
@@ -61,10 +62,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
-    doc = dio.load_counts(args.counts)
-    preps, freq = dio.counts_to_tables(doc)
-    cfg = MleConfig(epsilon=args.epsilon, max_iters=args.max_iters)
-    povm, diag = mle_reconstruct(freq, preps, cfg)
+    preps, freq = dio.load_counts(args.counts)
+    povm, diag = mle_reconstruct(freq, preps, epsilon=args.epsilon, max_iters=args.max_iters)
     dio.save_povm(dio.round_povm(povm), args.out)
     diag_out = args.diagnostics_out or _sibling(args.out, "diag")
     payload = dio.diagnostics_to_dict(diag)

@@ -26,13 +26,7 @@ import numpy as np
 from .crosstalk import DC_RESOLUTION, CrosstalkReport
 from .entanglement import PptReport
 from .operators import HermitianOperator, Povm
-from .tomography import (
-    MAX_QUBITS,
-    FrequencyTable,
-    MleDiagnostics,
-    PreparationSet,
-    preparations_from_labels,
-)
+from .tomography import MAX_QUBITS, FrequencyTable, MleDiagnostics, PreparationSet
 
 CROSSTALK_CSV_COLUMNS = (
     "qubits",
@@ -176,6 +170,8 @@ def _load_json(path: str | Path) -> dict:
         doc = json.loads(Path(path).read_text())
     except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{path}: JSON nested too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     return doc
@@ -189,8 +185,14 @@ def load_povm(path: str | Path) -> Povm:
     return povm_from_dict(_load_json(path))
 
 
-def validate_counts(doc: dict) -> None:
-    """Raise SchemaError naming the offending record if the document is bad."""
+def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
+    """A counts document as its probe set and frequency table, checked in one pass.
+
+    The pass checks the header, then each record's labels, shots, outcome
+    keys, counts and count sum while it fills the count and shot arrays;
+    the probe set then checks the label alphabet. Raises SchemaError naming
+    the offending record. Outcome keys absent from a record are zero counts.
+    """
     version = doc.get("version")
     if not _is_int(version) or version != 1:
         raise SchemaError(f"counts version must be 1, got {version!r}")
@@ -204,69 +206,55 @@ def validate_counts(doc: dict) -> None:
         raise SchemaError(f"counts 'qubits' must be a list of distinct integers, got {qubits!r}")
     if len(qubits) > MAX_QUBITS:
         raise SchemaError(f"counts name {len(qubits)} qubits; supported registers have 1..{MAX_QUBITS}")
-    preps = doc.get("preparations")
-    if not isinstance(preps, list) or not preps:
+    records = doc.get("preparations")
+    if not isinstance(records, list) or not records:
         raise SchemaError("counts 'preparations' must be a nonempty list")
     n = len(qubits)
-    for k, rec in enumerate(preps):
+    labels = []
+    counts = np.zeros((2**n, len(records)), dtype=np.int64)
+    shots = np.zeros(len(records), dtype=np.int64)
+    for k, rec in enumerate(records):
         where = f"preparation {k}"
         if not isinstance(rec, dict):
             raise SchemaError(f"{where}: expected an object")
-        labels = rec.get("labels")
-        if not isinstance(labels, list) or len(labels) != n:
+        if not isinstance(rec.get("labels"), list):
             raise SchemaError(f"{where}: 'labels' must list one state label per qubit")
-        shots = rec.get("shots")
-        if not _is_int(shots) or not 1 <= shots <= _INT64_MAX:
+        labels.append(rec["labels"])
+        rec_shots = rec.get("shots")
+        if not _is_int(rec_shots) or not 1 <= rec_shots <= _INT64_MAX:
             raise SchemaError(
-                f"{where}: 'shots' must be an integer in 1..2**63 - 1, got {shots!r}"
+                f"{where}: 'shots' must be an integer in 1..2**63 - 1, got {rec_shots!r}"
             )
-        counts = rec.get("counts")
-        if not isinstance(counts, dict):
+        shots[k] = rec_shots
+        rec_counts = rec.get("counts")
+        if not isinstance(rec_counts, dict):
             raise SchemaError(f"{where}: 'counts' must map outcome bitstrings to counts")
         total = 0
-        for key, value in counts.items():
+        for key, value in rec_counts.items():
             if len(key) != n or any(c not in "01" for c in key):
                 raise SchemaError(f"{where}: outcome key {key!r} is not a {n}-bit string")
             if not _is_int(value) or not 0 <= value <= _INT64_MAX:
                 raise SchemaError(f"{where}: count for {key!r} must be an integer in 0..2**63 - 1")
-            total += value
-        if total != shots:
-            raise SchemaError(
-                f"{where}: counts sum to {total} but 'shots' is {shots}"
-            )
-
-
-def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
-    """Validated counts document -> preparation set and frequencies.
-
-    Outcome keys absent from a record are zero counts.
-    """
-    validate_counts(doc)
-    qubits = doc["qubits"]
-    n = len(qubits)
-    records = doc["preparations"]
-    try:
-        preps = preparations_from_labels([rec["labels"] for rec in records], qubits)
-    except ValueError as exc:
-        raise SchemaError(str(exc)) from exc
-    counts = np.zeros((2**n, len(records)), dtype=np.int64)
-    shots = np.zeros(len(records), dtype=np.int64)
-    for k, rec in enumerate(records):
-        shots[k] = rec["shots"]
-        for key, value in rec["counts"].items():
             counts[int(key, 2), k] = value
+            total += value
+        if total != rec_shots:
+            raise SchemaError(f"{where}: counts sum to {total} but 'shots' is {rec_shots}")
+    try:
+        preps = PreparationSet(labels, qubits)
+    except ValueError as exc:  # its message names the record as "preparation k"
+        raise SchemaError(str(exc)) from exc
     return preps, FrequencyTable.from_counts(counts, shots)
 
 
 def save_counts(doc: dict, path: str | Path) -> None:
-    validate_counts(doc)
+    """Write a counts document after checking it with counts_to_tables."""
+    counts_to_tables(doc)
     _dump_json(doc, path)
 
 
-def load_counts(path: str | Path) -> dict:
-    doc = _load_json(path)
-    validate_counts(doc)
-    return doc
+def load_counts(path: str | Path) -> tuple[PreparationSet, FrequencyTable]:
+    """The probe set and frequency table of a counts file (see counts_to_tables)."""
+    return counts_to_tables(_load_json(path))
 
 
 def file_sha256(path: str | Path) -> str:

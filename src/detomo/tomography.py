@@ -49,14 +49,20 @@ _EIG_FLOOR = 1e-12
 
 
 def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
-    """Per-qubit MUB indices, shape (K, n), of product-state label tuples."""
+    """Per-qubit MUB indices, shape (K, n), of product-state label tuples.
+
+    A bad tuple's ValueError names it as "preparation k", as a counts
+    document names its records.
+    """
     index = np.zeros((len(label_tuples), n), dtype=np.int64)
     for k, labels in enumerate(label_tuples):
         if len(labels) != n:
-            raise ValueError(f"label tuple {labels!r} does not match {n} qubits")
+            raise ValueError(
+                f"preparation {k}: label tuple {labels!r} does not match {n} qubits"
+            )
         for q, label in enumerate(labels):
             if not isinstance(label, str) or label not in _MUB_INDEX:
-                raise ValueError(f"unknown preparation label {label!r}")
+                raise ValueError(f"preparation {k}: unknown preparation label {label!r}")
             index[k, q] = _MUB_INDEX[label]
     return index
 
@@ -207,18 +213,6 @@ class FrequencyTable:
         return self.frequencies.shape[1]
 
 
-@dataclass(frozen=True)
-class MleConfig:
-    epsilon: float = 1e-6
-    max_iters: int = 10000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be positive")
-
-
 @dataclass
 class MleDiagnostics:
     """Per-iteration traces of the reconstruction."""
@@ -232,13 +226,6 @@ class MleDiagnostics:
     min_eigenvalues: np.ndarray = field(repr=False)
 
 
-def preparations_from_labels(
-    label_tuples: Sequence[Sequence[str]], qubit_labels: Sequence[int]
-) -> PreparationSet:
-    """The product probe set named by per-qubit state labels."""
-    return PreparationSet(label_tuples, qubit_labels)
-
-
 def mub_preparations(n: int) -> PreparationSet:
     """All 6**n products of single-qubit MUB states, in lexicographic label order.
 
@@ -248,7 +235,7 @@ def mub_preparations(n: int) -> PreparationSet:
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"supported register sizes are 1..{MAX_QUBITS} qubits, got n={n}")
     label_tuples = tuple(itertools.product(MUB_LABELS, repeat=n))
-    return preparations_from_labels(label_tuples, tuple(range(n)))
+    return PreparationSet(label_tuples, tuple(range(n)))
 
 
 def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
@@ -324,7 +311,11 @@ def _objective(
 
 
 def mle_reconstruct(
-    freq: FrequencyTable, preps: PreparationSet, config: MleConfig | None = None
+    freq: FrequencyTable,
+    preps: PreparationSet,
+    *,
+    epsilon: float = 1e-6,
+    max_iters: int = 10000,
 ) -> tuple[Povm, MleDiagnostics]:
     """Maximum-likelihood POVM reconstruction by limited-memory BFGS.
 
@@ -342,8 +333,13 @@ def mle_reconstruct(
 
     Returns the reconstructed POVM and per-iteration diagnostics; a run that
     hits max_iters is returned with converged=False rather than raised.
+    Raises ValueError, before any work, for epsilon outside (0, 1),
+    max_iters below 1, or a table that does not match the probe set.
     """
-    cfg = config or MleConfig()
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError("epsilon must lie in (0, 1)")
+    if max_iters < 1:
+        raise ValueError("max_iters must be positive")
     if freq.num_preparations != preps.num_states:
         raise ValueError(
             f"frequency table has {freq.num_preparations} columns for {preps.num_states} states"
@@ -377,9 +373,9 @@ def mle_reconstruct(
         min_eigs.append(float(eigs[num_outcomes:].min()))
         logliks.append(-value)
         m = m_new
-        if delta < cfg.epsilon:
+        if delta < epsilon:
             break
-        if iterations == cfg.max_iters:
+        if iterations == max_iters:
             converged = False
             break
 

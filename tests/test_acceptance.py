@@ -18,7 +18,6 @@ import pytest
 from conftest import exact_frequency_table, random_element, random_povm
 from detomo import (
     HermitianOperator,
-    MleConfig,
     NoiseSpec,
     NormalizedElement,
     Partition,
@@ -109,13 +108,12 @@ def test_criterion_2_mle_recovers_exact_frequencies():
         preps = mub_preparations(2)
         # ill-conditioned draws plateau near delta 1e-8 (float64 floor), so
         # stop at 1e-7; recovery accuracy stays far below the 1e-3 gate
-        cfg = MleConfig(epsilon=1e-7)
         rng = np.random.default_rng(2202)
         for _ in range(20):
             truth = random_povm(2, rng)
             assert validate_povm(truth).ok
             table = exact_frequency_table(truth, preps)
-            fitted, diag = mle_reconstruct(table, preps, cfg)
+            fitted, diag = mle_reconstruct(table, preps, epsilon=1e-7)
             assert diag.converged
             worst = max(
                 trace_distance(normalize(fitted.element(o)), normalize(truth.element(o)))

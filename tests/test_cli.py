@@ -8,7 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from detomo import ideal_povm, load_povm, make_noisy_povm, NoiseSpec, save_povm, validate_povm
+from detomo import (
+    ideal_povm, load_povm, make_noisy_povm, NoiseSpec, PreparationSet, save_povm, validate_povm,
+)
+from detomo import io as dio
 from detomo.cli import main
 
 
@@ -113,6 +116,15 @@ def test_integers_past_numpy_range_are_refused(tmp_path, capsys, run, code, mess
     assert not (tmp_path / "x.json").exists() and not (tmp_path / "p.json").exists()
 
 
+@pytest.mark.parametrize("n", ["9", "0"])
+def test_simulate_checks_register_size_before_building_the_povm(tmp_path, capsys, monkeypatch, n):
+    monkeypatch.setattr("detomo.cli.make_noisy_povm", pytest.fail)
+    code = run_cli("simulate", "--n", n, "--noise", "local_flip", "--out", str(tmp_path / "x.json"))
+    assert code == 2
+    assert f"supported register sizes are 1..4 qubits, got n={n}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_simulate_missing_out_flag_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli("simulate", "--n", "2", "--noise", "local_flip")
@@ -177,6 +189,23 @@ def test_reconstruct_rejects_inconsistent_counts(tmp_path):
     assert run_cli("reconstruct", "--counts", str(path), "--out", str(tmp_path / "p.json")) == 3
 
 
+def test_reconstruct_parses_the_counts_file_once(tmp_path, monkeypatch):
+    counts = tmp_path / "counts.json"
+    run_cli(
+        "simulate", "--n", "2", "--noise", "local_flip", "--shots", "64",
+        "--out", str(counts),
+    )
+    parsed, built = [], []
+    parse, post_init = dio.counts_to_tables, PreparationSet.__post_init__
+    monkeypatch.setattr(dio, "counts_to_tables", lambda doc: parsed.append(doc) or parse(doc))
+    monkeypatch.setattr(
+        PreparationSet, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    assert run_cli("reconstruct", "--counts", str(counts), "--out", str(tmp_path / "p.json")) == 0
+    assert len(parsed) == 1
+    assert len(built) == 1 and built[0].num_states == 36
+
+
 def _set_first_record(doc, **fields):
     doc["preparations"][0].update(fields)
 
@@ -203,6 +232,18 @@ def test_reconstruct_rejects_bool_where_int_expected(tmp_path, capsys, mutate):
     code = run_cli("reconstruct", "--counts", str(counts), "--out", str(tmp_path / "p.json"))
     assert code == 3
     assert "schema error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("reconstruct", "--counts"), ("analyze", "--povm"), ("report", "--crosstalk")]
+)
+def test_deeply_nested_json_is_schema_error(tmp_path, capsys, command, flag):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run_cli(command, flag, str(path), "--out", str(tmp_path / "out"))
+    assert code == 3
+    assert capsys.readouterr().err == f"schema error: {path}: JSON nested too deeply\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 # ------------------------------------------------------------------ analyze

@@ -37,7 +37,6 @@ from detomo import (
     sample_counts,
     save_counts,
     save_povm,
-    validate_counts,
     write_crosstalk_csv,
     write_crosstalk_json,
     write_ppt_csv,
@@ -117,7 +116,12 @@ def test_counts_file_round_trip(tmp_path):
     doc = counts_fixture()
     path = tmp_path / "counts.json"
     save_counts(doc, path)
-    assert load_counts(path) == doc
+    assert json.loads(path.read_text()) == doc
+    preps, table = load_counts(path)
+    expected_preps, expected_table = counts_to_tables(doc)
+    assert preps == expected_preps
+    np.testing.assert_array_equal(table.frequencies, expected_table.frequencies)
+    np.testing.assert_array_equal(table.shots, expected_table.shots)
 
 
 def test_counts_to_tables_fills_missing_outcomes_with_zeros():
@@ -139,23 +143,23 @@ def test_validate_counts_names_offending_record():
     doc = counts_fixture()
     doc["preparations"][5]["shots"] += 1
     with pytest.raises(SchemaError, match="preparation 5"):
-        validate_counts(doc)
+        counts_to_tables(doc)
 
 
 def test_validate_counts_rejects_bad_outcome_key():
     doc = counts_fixture()
     doc["preparations"][0]["counts"]["012"] = 0
     with pytest.raises(SchemaError, match="'012'"):
-        validate_counts(doc)
+        counts_to_tables(doc)
 
 
 def test_validate_counts_rejects_bad_headers():
     with pytest.raises(SchemaError):
-        validate_counts({"version": 2, "qubits": [0], "preparations": []})
+        counts_to_tables({"version": 2, "qubits": [0], "preparations": []})
     with pytest.raises(SchemaError):
-        validate_counts({"version": 1, "qubits": [0, 0], "preparations": []})
+        counts_to_tables({"version": 1, "qubits": [0, 0], "preparations": []})
     with pytest.raises(SchemaError):
-        validate_counts({"version": 1, "qubits": [0], "preparations": []})
+        counts_to_tables({"version": 1, "qubits": [0], "preparations": []})
 
 
 def test_counts_to_tables_rejects_unknown_state_label():
@@ -166,6 +170,25 @@ def test_counts_to_tables_rejects_unknown_state_label():
     }
     with pytest.raises(SchemaError, match="up"):
         counts_to_tables(doc)
+
+
+@pytest.mark.parametrize("bad", ["x", 7])
+def test_counts_label_outside_the_alphabet_names_its_record(tmp_path, capsys, bad):
+    doc = counts_fixture()
+    doc["preparations"][3]["labels"][1] = bad
+    message = f"preparation 3: unknown preparation label {bad!r}"
+    path = tmp_path / "counts.json"
+    with pytest.raises(SchemaError) as exc:
+        save_counts(doc, path)
+    assert str(exc.value) == message
+    assert not path.exists()
+    with pytest.raises(SchemaError) as exc:
+        counts_to_tables(doc)
+    assert str(exc.value) == message
+    path.write_text(json.dumps(doc))
+    code = cli_main(["reconstruct", "--counts", str(path), "--out", str(tmp_path / "p.json")])
+    assert code == 3
+    assert capsys.readouterr().err == f"schema error: {message}\n"
 
 
 def test_load_counts_rejects_truncated_file(tmp_path):

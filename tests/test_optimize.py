@@ -7,7 +7,7 @@ import pytest
 
 import detomo.tomography as tomography
 from conftest import exact_frequency_table, random_povm
-from detomo import MleConfig, mle_reconstruct, mub_preparations
+from detomo import mle_reconstruct, mub_preparations
 from detomo.optimize import STEP_FLOOR, armijo
 
 
@@ -140,7 +140,7 @@ def test_criterion_2_draw_18_spends_no_evaluations_below_the_floor(monkeypatch):
 
     monkeypatch.setattr(tomography, "_objective", counted)
     preps = mub_preparations(2)
-    _, diag = mle_reconstruct(exact_frequency_table(truth, preps), preps, MleConfig(epsilon=1e-7))
+    _, diag = mle_reconstruct(exact_frequency_table(truth, preps), preps, epsilon=1e-7)
     assert diag.converged and diag.iterations == 78
     assert diag.final_delta >= 1e-7  # stopped because no step lowers -L
     assert len(calls) <= 123

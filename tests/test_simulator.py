@@ -16,7 +16,7 @@ from detomo import (
     nppt_test,
     normalize,
     Partition,
-    preparations_from_labels,
+    PreparationSet,
     sample_counts,
     validate_povm,
 )
@@ -122,7 +122,7 @@ def test_entangled_residual_lands_on_pair_flipped_outcome():
 
 def test_sample_counts_ideal_measurement_is_deterministic_per_state():
     povm = ideal_povm(2)
-    preps = preparations_from_labels([("0", "0"), ("1", "1")], (0, 1))
+    preps = PreparationSet([("0", "0"), ("1", "1")], (0, 1))
     doc = sample_counts(povm, preps, shots=100, seed=11)
     assert doc["version"] == 1
     assert doc["qubits"] == [0, 1]
@@ -132,7 +132,7 @@ def test_sample_counts_ideal_measurement_is_deterministic_per_state():
 
 def test_sample_counts_zero_rows_are_omitted():
     povm = ideal_povm(1)
-    preps = preparations_from_labels([("0",)], (0,))
+    preps = PreparationSet([("0",)], (0,))
     doc = sample_counts(povm, preps, shots=50, seed=0)
     assert doc["preparations"][0]["counts"] == {"0": 50}
 
@@ -159,7 +159,7 @@ def test_sample_counts_shot_totals_and_outcome_keys():
 
 def test_sample_counts_plus_state_splits_evenly():
     povm = ideal_povm(1)
-    preps = preparations_from_labels([("+",)], (0,))
+    preps = PreparationSet([("+",)], (0,))
     doc = sample_counts(povm, preps, shots=100_000, seed=3)
     f0 = doc["preparations"][0]["counts"]["0"] / 100_000
     assert f0 == pytest.approx(0.5, abs=0.01)
@@ -232,7 +232,7 @@ def test_sample_counts_keys_each_preparation_by_its_index():
     # the probe list reproduces the full document's first records
     povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", p=0.02, w=0.3))
     full = mub_preparations(2)
-    head = preparations_from_labels(full.labels[:7], full.qubit_labels)
+    head = PreparationSet(full.labels[:7], full.qubit_labels)
     doc = sample_counts(povm, full, shots=8192, seed=5)
     part = sample_counts(povm, head, shots=8192, seed=5)
     assert len(doc["preparations"]) == 36

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import dense_states, exact_frequency_table, random_povm
 from detomo import (
     FrequencyTable,
-    MleConfig,
     Povm,
     HermitianOperator,
     PreparationSet,
@@ -22,7 +21,6 @@ from detomo import (
     mle_reconstruct,
     mub_preparations,
     normalize,
-    preparations_from_labels,
     sample_counts,
     trace_distance,
     NoiseSpec,
@@ -68,7 +66,7 @@ def test_preparation_set_holds_labels_only():
     assert preps.labels == (("0", "+i"),)
     assert preps.qubit_labels == (3, 1)
     assert (preps.n, preps.dim, preps.num_states) == (2, 4, 1)
-    assert preps == preparations_from_labels([("0", "+i")], (3, 1))
+    assert preps == PreparationSet([("0", "+i")], (3, 1))
     with pytest.raises(ValueError):
         preps.index[0, 0] = 1
 
@@ -81,12 +79,12 @@ def test_preparation_set_rejects_malformed_labels(bad):
 
 def test_preparation_set_rejects_duplicate_qubit_labels():
     with pytest.raises(ValueError, match="duplicate qubit labels"):
-        preparations_from_labels(mub_preparations(2).labels, (0, 0))
+        PreparationSet(mub_preparations(2).labels, (0, 0))
 
 
 def test_preparations_from_labels_rejects_unknown_label():
-    with pytest.raises(ValueError):
-        preparations_from_labels([("0", "x")], (0, 1))
+    with pytest.raises(ValueError, match=r"preparation 1: unknown preparation label 'x'"):
+        PreparationSet([("0", "1"), ("0", "x")], (0, 1))
 
 
 # The dense Born map and its adjoint, kept here as the reference for the
@@ -115,7 +113,7 @@ def test_product_born_map_matches_dense_oracle(n):
     x = rng.standard_normal((d, d, d)) + 1j * rng.standard_normal((d, d, d))
     m = 0.5 * (x + x.conj().transpose(0, 2, 1))
     for kind, labels in _label_lists(n, rng).items():
-        preps = preparations_from_labels(labels, tuple(range(n)))
+        preps = PreparationSet(labels, tuple(range(n)))
         born = _BornMap(preps)
         w = rng.standard_normal((d, preps.num_states))
         np.testing.assert_allclose(
@@ -132,7 +130,7 @@ def test_mle_and_likelihood_ignore_probe_order():
     preps = mub_preparations(2)
     freq = exact_frequency_table(povm, preps)
     order = np.random.default_rng(3).permutation(preps.num_states)
-    shuffled = preparations_from_labels([preps.labels[k] for k in order], (0, 1))
+    shuffled = PreparationSet([preps.labels[k] for k in order], (0, 1))
     freq_shuffled = FrequencyTable(freq.frequencies[:, order], freq.shots[order])
     assert log_likelihood(povm, freq_shuffled, shuffled) == pytest.approx(
         log_likelihood(povm, freq, preps), abs=1e-12
@@ -154,11 +152,19 @@ def test_frequency_table_from_counts():
     np.testing.assert_allclose(table.frequencies[:, 0], [0.75, 0.25])
 
 
-def test_mle_config_validation():
-    with pytest.raises(ValueError):
-        MleConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        MleConfig(max_iters=0)
+def test_mle_config_validation(monkeypatch):
+    preps = mub_preparations(1)
+    freq = exact_frequency_table(ideal_povm(1), preps)
+    # refused before any work: the informational-completeness check never runs
+    monkeypatch.setattr("detomo.tomography._check_informationally_complete", pytest.fail)
+    for kwargs in ({"epsilon": 0.0}, {"epsilon": 1.0}, {"epsilon": float("nan")}):
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+            mle_reconstruct(freq, preps, **kwargs)
+    with pytest.raises(ValueError, match="max_iters must be positive"):
+        mle_reconstruct(freq, preps, max_iters=0)
+    # the settings are keyword-only
+    with pytest.raises(TypeError):
+        mle_reconstruct(freq, preps, 1e-6)
 
 
 def test_log_likelihood_at_truth_matches_direct_sum():
@@ -201,7 +207,7 @@ def test_uniform_frequencies_fix_the_flat_povm():
     preps = mub_preparations(1)
     f = np.full((2, 6), 0.5)
     freq = FrequencyTable(f, np.full(6, 1000))
-    povm, diag = mle_reconstruct(freq, preps, MleConfig(epsilon=1e-9))
+    povm, diag = mle_reconstruct(freq, preps, epsilon=1e-9)
     for e in povm.elements:
         assert np.abs(e.matrix - np.eye(2) / 2.0).max() <= 1e-9
     assert diag.converged
@@ -212,7 +218,7 @@ def test_mle_noiseless_self_consistency(n):
     povm = make_noisy_povm(n, NoiseSpec(kind="local_flip", p=0.08))
     preps = mub_preparations(n)
     freq = exact_frequency_table(povm, preps)
-    rec, diag = mle_reconstruct(freq, preps, MleConfig(epsilon=1e-8))
+    rec, diag = mle_reconstruct(freq, preps, epsilon=1e-8)
     assert diag.converged
     for i in range(2**n):
         d = trace_distance(normalize(rec.elements[i]), normalize(povm.elements[i]))
@@ -223,7 +229,7 @@ def test_mle_recovers_entangled_povm():
     povm = make_noisy_povm(2, NoiseSpec(kind="entangled", p=0.5))
     preps = mub_preparations(2)
     freq = exact_frequency_table(povm, preps)
-    rec, diag = mle_reconstruct(freq, preps, MleConfig(epsilon=1e-8))
+    rec, diag = mle_reconstruct(freq, preps, epsilon=1e-8)
     for i in range(4):
         assert trace_distance(normalize(rec.elements[i]), normalize(povm.elements[i])) <= 1e-3
 
@@ -232,7 +238,7 @@ def test_mle_preserves_completeness_and_positivity_each_iteration():
     povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
     preps = mub_preparations(2)
     freq = exact_frequency_table(povm, preps)
-    _, diag = mle_reconstruct(freq, preps, MleConfig(epsilon=1e-8))
+    _, diag = mle_reconstruct(freq, preps, epsilon=1e-8)
     assert diag.completeness_residuals.max() <= 1e-8
     assert diag.min_eigenvalues.min() >= -1e-9
 
@@ -261,7 +267,7 @@ def test_mle_flags_non_convergence_and_returns_best_iterate():
     povm = make_noisy_povm(2, NoiseSpec(kind="entangled", p=0.5))
     preps = mub_preparations(2)
     freq = exact_frequency_table(povm, preps)
-    rec, diag = mle_reconstruct(freq, preps, MleConfig(epsilon=1e-12, max_iters=3))
+    rec, diag = mle_reconstruct(freq, preps, epsilon=1e-12, max_iters=3)
     assert not diag.converged
     assert diag.iterations == 3
     assert validate_ok(rec)
@@ -299,7 +305,7 @@ def test_operator_rank_matches_dense_rank(n):
             alphabet = [MUB_LABELS[i] for i in np.sort(rng.choice(6, rng.integers(1, 7), replace=False))]
         size = int(rng.integers(1, 3 * 4**n))
         labels = [tuple(rng.choice(alphabet, size=n)) for _ in range(size)]
-        preps = preparations_from_labels(labels, tuple(range(n)))
+        preps = PreparationSet(labels, tuple(range(n)))
         rank = _operator_rank(preps)
         assert rank == _dense_rank(preps), (trial, alphabet, size)
         ranks.add(rank == 4**n)
