@@ -9,6 +9,7 @@ object only, so reruns with identical inputs are byte-identical elsewhere.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -215,7 +216,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # A parser is a web of reference cycles. Built with the cyclic collector
+    # paused, it is freed by the first collection after the build; one that
+    # ran during the build would promote it to an older generation, which a
+    # long-running caller keeps until a full collection.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        args = build_parser().parse_args(argv)
+    finally:
+        if collecting:
+            gc.enable()
     try:
         return args.func(args)
     except dio.SchemaError as exc:

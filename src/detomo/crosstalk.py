@@ -146,62 +146,23 @@ class ProductFit:
         return NormalizedElement(permute_qubits(prod, self.qubit_labels))
 
 
-def _psd_unit_trace(matrix: np.ndarray) -> np.ndarray:
-    """Nearest PSD matrix by eigenvalue clipping, rescaled to unit trace."""
-    h = 0.5 * (matrix + matrix.conj().T)
+def _psd_unit_trace(matrices: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to each of (B, d, d) by eigenvalue clipping, rescaled
+    to unit trace; a row with no positive eigenvalue becomes I/d."""
+    h = 0.5 * (matrices + matrices.conj().transpose(0, 2, 1))
     evals, vecs = np.linalg.eigh(h)
     evals = np.clip(evals, 0.0, None)
-    s = evals.sum()
-    if s < 1e-300:
-        d = h.shape[0]
-        return np.eye(d, dtype=complex) / d
-    return (vecs * (evals / s)) @ vecs.conj().T
+    s = evals.sum(axis=1)
+    empty = s < 1e-300
+    weights = evals / np.where(empty, 1.0, s)[:, None]
+    out = (vecs * weights[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
+    out[empty] = np.eye(h.shape[-1]) / h.shape[-1]
+    return out
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm(a - b)
 
-
-def _als_update_subscript(nb: int, b: int) -> str:
-    rows, cols = _LETTERS[:nb], _LETTERS[nb : 2 * nb]
-    operands = [rows + cols]
-    for i in range(nb):
-        if i != b:
-            operands.append(rows[i] + cols[i])
-    return ",".join(operands) + "->" + rows[b] + cols[b]
-
-
-def _als(
-    tensor_target: np.ndarray,
-    dims: Sequence[int],
-    factors: list[np.ndarray],
-) -> tuple[list[np.ndarray], np.ndarray, bool]:
-    """Alternating closed-form updates of each block factor.
-
-    Each factor takes its closed-form Frobenius least-squares value given the
-    others, then is projected back to the PSD unit-trace set.
-    """
-    nb = len(dims)
-    prev = kron(factors)
-    for _ in range(_ALS_MAX_SWEEPS):
-        for b in range(nb):
-            others = [factors[i].conj() for i in range(nb) if i != b]
-            w = np.einsum(_als_update_subscript(nb, b), tensor_target, *others)
-            scale = 1.0
-            for i in range(nb):
-                if i != b:
-                    scale *= float(np.vdot(factors[i], factors[i]).real)
-            factors[b] = _psd_unit_trace(w / max(scale, 1e-300))
-        prod = kron(factors)
-        change = float(np.linalg.norm(prod - prev))
-        prev = prod
-        if change < _ALS_TOL:
-            return factors, prod, True
-    return factors, prod, False
-
-
-# Leading axis of the stacked polish contractions: one row per problem.
-_BATCH = "z"
 
 # What a fit yields while it polishes, (mu, x), and is sent back, (f, g).
 _Fit = Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], tuple]
@@ -210,17 +171,57 @@ _Fit = Generator[tuple[float, np.ndarray], tuple[float, np.ndarray], tuple]
 @lru_cache(maxsize=None)
 def _plan(dims: tuple[int, ...]) -> tuple[tuple[slice, str, np.ndarray], ...]:
     """Per block: its root's slice of the packed complex vector, the stacked
-    gradient contraction (the ALS update with a leading batch letter) and its identity."""
+    contraction of the ALS update and the polish gradient, and its identity.
+
+    In the contraction, z is the stack axis, one row per problem, and block
+    i's row and column axes are rows[i] and cols[i].
+    """
     nb = len(dims)
+    rows, cols = _LETTERS[:nb], _LETTERS[nb : 2 * nb]
     plan, end = [], 0
     for b, d in enumerate(dims):
-        ins, out = _als_update_subscript(nb, b).split("->")
-        subscript = ",".join(_BATCH + op for op in ins.split(",")) + "->" + _BATCH + out
+        others = ["z" + rows[i] + cols[i] for i in range(nb) if i != b]
+        subscript = ",".join(["z" + rows + cols] + others) + "->z" + rows[b] + cols[b]
         eye = np.eye(d)
         eye.flags.writeable = False
         plan.append((slice(end, end + d * d), subscript, eye))
         end += d * d
     return tuple(plan)
+
+
+def _als(
+    targets: np.ndarray, dims: tuple[int, ...], factors: list[np.ndarray]
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Alternating closed-form updates of each block factor, stacked over rows.
+
+    targets (B, *dims, *dims) and factors[b] (B, d_b, d_b); each factor takes
+    its closed-form Frobenius least-squares value given the others, then is
+    projected back to the PSD unit-trace set.  A row ends at the first sweep
+    that moves its product ⊗F_b by less than _ALS_TOL, or after
+    _ALS_MAX_SWEEPS; the sweeps go on until every row has ended, and a row's
+    later sweeps are discarded.  Returns the end factors and converged flags
+    (B,); row k of both is bitwise what row k alone gives.
+    """
+    factors, ends = list(factors), [np.empty_like(f) for f in factors]
+    converged = np.zeros(len(targets), dtype=bool)
+    prev = kron(factors)
+    for _ in range(_ALS_MAX_SWEEPS):
+        for b, (_, subscript, _) in enumerate(_plan(dims)):
+            others = [f for i, f in enumerate(factors) if i != b]
+            w = np.einsum(subscript, targets, *[f.conj() for f in others])
+            flat = [f.reshape(len(f), -1) for f in others]
+            scale = math.prod(np.vecdot(a, a).real for a in flat)
+            factors[b] = _psd_unit_trace(w / np.maximum(scale, 1e-300)[:, None, None])
+        prod = kron(factors)
+        diff = np.subtract(prod, prev, out=prev).reshape(len(prod), -1)  # np.linalg.norm's sums
+        for end, f in zip(ends, factors):
+            end[~converged] = f[~converged]
+        change = np.sqrt(np.vecdot(diff.real, diff.real) + np.vecdot(diff.imag, diff.imag))
+        converged |= change < _ALS_TOL
+        if converged.all():
+            break
+        prev = prod
+    return ends, converged
 
 
 def _unroot(
@@ -325,35 +326,38 @@ def _polish(
     return best, best_distance
 
 
-def _lockstep(dims: tuple[int, ...], problems: Sequence[tuple[np.ndarray, _Fit]]) -> list[tuple]:
+def _lockstep(dims: tuple[int, ...], problems: Iterator[tuple[np.ndarray, _Fit]]) -> list[tuple]:
     """Drive (canon, fit generator) problems side by side, with one stacked
     _smoothed call per round; returns what each generator returns, in order.
 
     A live fit polishes one ALS end point at a time and holds its dense
     inverse Hessian, so at most prod(dims) = 2^n fits run at a time, one per
-    outcome of one partition; a finished fit's place goes to the next waiting one.
+    outcome of one partition; a finished fit's place goes to the next
+    problem, pulled from the iterator only then.
     """
     width = math.prod(dims)
-    results: list[tuple] = [()] * len(problems)
+    pulled: list[tuple[np.ndarray, _Fit]] = []
+    results: list[tuple] = []
     trials: dict[int, tuple[float, np.ndarray]] = {}
-    waiting = iter(range(len(problems)))
 
     def advance(k: int, reply: tuple[float, np.ndarray] | None) -> None:
         try:
-            trials[k] = problems[k][1].send(reply)
+            trials[k] = pulled[k][1].send(reply)
         except StopIteration as stop:
             trials.pop(k, None)
             results[k] = stop.value
 
     def refill() -> None:
-        while len(trials) < width and (k := next(waiting, None)) is not None:
-            advance(k, None)
+        while len(trials) < width and (problem := next(problems, None)) is not None:
+            pulled.append(problem)
+            results.append(())
+            advance(len(pulled) - 1, None)
 
     refill()
     while trials:
         live = list(trials)
         f, g = _smoothed(
-            np.stack([problems[k][0] for k in live]),
+            np.stack([pulled[k][0] for k in live]),
             dims,
             np.stack([trials[k][1] for k in live]),
             np.array([trials[k][0] for k in live]),
@@ -373,7 +377,7 @@ def _seeds(
     """Block partial traces of the element with its blocks on contiguous axes,
     then a basis projector, then maximally mixed."""
     traces = [partial_trace(canon, block).matrix for block in blocks]
-    yield [_psd_unit_trace(pt) for pt in traces]
+    yield [_psd_unit_trace(pt[None])[0] for pt in traces]
     if outcome_bits is None:
         picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
     else:
@@ -382,33 +386,27 @@ def _seeds(
     yield [np.eye(d, dtype=complex) / d for d in dims]
 
 
-def _fit(
-    canon_op: HermitianOperator,
-    blocks: Sequence[tuple[int, ...]],
-    outcome_bits: list[str] | None,
-) -> _Fit:
-    """One product fit of the element canon_op, its blocks on contiguous axes.
+def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
+    """One product fit of the element canon, its blocks on contiguous axes,
+    from its seeds' ALS end points (factors, converged), in seed order.
 
-    Seeds are taken in order and each runs through ALS.  A seed whose ALS
-    end point coincides with an earlier seed's reuses that result; a new end
-    point farther than 1e-9 from the element is polished.  A later seed wins
-    only if it beats the best by more than 1e-9, and the search stops once
-    the best is 1e-10 or less.  Its polishes' trial points pass through it
-    to _lockstep; it returns (distance, factors, ALS converged, seeds used).
+    An end point whose product coincides with an earlier seed's reuses that
+    result; a new one farther than 1e-9 from the element is polished.  A
+    later seed wins only if it beats the best by more than 1e-9, and the
+    search stops once the best is 1e-10 or less: no later seed is polished or
+    used.  Its polishes' trial points pass through it to _lockstep; it
+    returns (distance, factors, ALS converged, seeds used).
     """
-    dims = tuple(2 ** len(b) for b in blocks)
-    canon = canon_op.matrix
-    tensor_target = canon.reshape(dims * 2)
-    ends: list[tuple[np.ndarray, float, list[np.ndarray]]] = []  # (ALS product, distance, factors)
-    for used, factors0 in enumerate(_seeds(canon_op, blocks, dims, outcome_bits), 1):
-        factors1, prod1, als_ok = _als(tensor_target, dims, factors0)
-        end = next((e for e in ends if float(np.abs(e[0] - prod1).max()) < _DEDUPE_TOL), None)
+    done: list[tuple[np.ndarray, float, list[np.ndarray]]] = []  # (ALS product, distance, factors)
+    for used, (factors, als_ok) in enumerate(ends, 1):
+        prod = kron(factors)
+        end = next((e for e in done if float(np.abs(e[0] - prod).max()) < _DEDUPE_TOL), None)
         if end is None:
-            dist = _distance(canon, prod1)
+            dist = _distance(canon, prod)
             if dist > _TIE_TOL:
-                factors1, dist = yield from _polish(canon, dims, factors1, dist)
-            end = (prod1, dist, factors1)
-            ends.append(end)
+                factors, dist = yield from _polish(canon, dims, factors, dist)
+            end = (prod, dist, factors)
+            done.append(end)
         _, dist, factors = end
         if used == 1 or dist < best[0] - _TIE_TOL:
             best = (dist, factors, als_ok)
@@ -417,15 +415,41 @@ def _fit(
     return best + (used,)
 
 
+def _problems(dims: tuple[int, ...], items: list[tuple]) -> Iterator[tuple[np.ndarray, _Fit]]:
+    """(canon, _fit) per (canon_op, blocks, outcome bits) item, in order; the
+    seeds of 2^(n-1) items at a time, half a lockstep's width, share one _als."""
+    chunk = math.prod(dims) // 2
+    for start in range(0, len(items), chunk):
+        for canon, ends in _als_ends(dims, items[start : start + chunk]):
+            yield canon, _fit(canon, dims, ends)
+
+
+def _als_ends(dims: tuple[int, ...], items: list[tuple]) -> list[tuple[np.ndarray, list]]:
+    """(canon, its seeds' ALS end points (factors, converged)) per item, from
+    one stacked _als.  Each row is copied out of the stack, so that no fit
+    keeps the stack alive."""
+    seeds = [(op.matrix, list(_seeds(op, blocks, dims, bits))) for op, blocks, bits in items]
+    rows = [(canon, seed) for canon, item in seeds for seed in item]
+    factors, converged = _als(
+        np.stack([canon for canon, _ in rows]).reshape((len(rows),) + dims * 2),
+        dims,
+        [np.stack([seed[b] for _, seed in rows]) for b in range(len(dims))],
+    )
+    ends = iter([([f[r].copy() for f in factors], bool(ok)) for r, ok in enumerate(converged)])
+    return [(canon, [next(ends) for _ in item]) for canon, item in seeds]
+
+
 def fit_products(
     items: Sequence[tuple[NormalizedElement, Partition, str | None]],
 ) -> list[ProductFit]:
     """fit_product for each (element, partition, outcome) item.
 
     Every item is checked before any fit runs.  The fits of all items with
-    the same block dimensions then run side by side, in item order, with one
-    stacked objective evaluation per polish step (_lockstep); each keeps its
-    own path bit for bit, so every fit is identical to a lone fit_product call.
+    the same block dimensions then run side by side, in item order: the
+    seeds of 2^(n-1) items at a time go through one stacked ALS (_problems),
+    and the polishes take one stacked objective evaluation per step
+    (_lockstep).  Each keeps its own path bit for bit, so every fit is
+    identical to a lone fit_product call.
     """
     for elem, partition, _ in items:
         if len(partition.blocks) < 2:
@@ -435,20 +459,20 @@ def fit_products(
                 f"partition {partition.label()} does not cover qubits {elem.qubit_labels}"
             )
 
-    problems: list[tuple[np.ndarray, _Fit]] = []  # (canon, fit) per item
     groups: dict[tuple[int, ...], list[int]] = {}  # item indices per block dims
+    prepared = []  # (canon_op, blocks, outcome bits) per item
     for k, (elem, partition, outcome) in enumerate(items):
         canon_op = permute_qubits(elem.op, [q for b in partition.blocks for q in b])
         outcome_bits = None
         if outcome is not None:
             by_label = dict(zip(elem.qubit_labels, outcome))
             outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
-        problems.append((canon_op.matrix, _fit(canon_op, partition.blocks, outcome_bits)))
+        prepared.append((canon_op, partition.blocks, outcome_bits))
         groups.setdefault(tuple(2 ** len(b) for b in partition.blocks), []).append(k)
 
     results: list[tuple] = [()] * len(items)
     for dims, group in groups.items():
-        for k, result in zip(group, _lockstep(dims, [problems[k] for k in group])):
+        for k, result in zip(group, _lockstep(dims, _problems(dims, [prepared[k] for k in group]))):
             results[k] = result
 
     return [
@@ -474,10 +498,11 @@ def fit_product(
 ) -> ProductFit:
     """Nearest product element across a partition, by two-stage local search.
 
-    Stage one runs alternating closed-form Frobenius updates from each seed;
-    stage two polishes the trace distance itself by BFGS over square roots
-    of the factors, on the smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3,
-    1e-5, 1e-7 and 1e-9 in turn, at most 2000 steps each (_MAX_STEPS).
+    Stage one runs alternating closed-form Frobenius updates from each seed,
+    the three seeds stacked in one call; stage two polishes the trace
+    distance itself by BFGS over square roots of the factors, on the
+    smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3, 1e-5, 1e-7 and 1e-9 in
+    turn, at most 2000 steps each (_MAX_STEPS).
     The three seeds, in order, are the block partial traces, a basis
     projector (the outcome's when given, else the dominant diagonal) and
     maximally mixed factors; a seed whose first stage ends where an earlier
@@ -487,8 +512,9 @@ def fit_product(
     and returns identical distances.
 
     Ties across seeds within 1e-9 keep the earliest seed; the search stops
-    once a distance of 1e-10 or less is found, and no later seed is run or
-    polished.  This is fit_products with one item.
+    once a distance of 1e-10 or less is found, and no later seed is polished
+    or used (its first stage has already run, stacked with the others).
+    This is fit_products with one item.
     """
     return fit_products([(elem, partition, outcome)])[0]
 

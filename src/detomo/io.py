@@ -7,7 +7,10 @@ run timestamps live only inside the report metadata object.
 Measured floats (MLE diagnostics traces, crosstalk distances, partial-
 transpose eigenvalues) are written at MEASURED_DECIMALS places and a
 reconstructed POVM is stored on a 10**-POVM_DECIMALS grid, so that the files
-do not carry the last bits of LAPACK/BLAS rounding and agree across builds.
+do not carry the last bits of LAPACK/BLAS rounding.  They agree across BLAS
+thread counts and, for the n=2 golden, across builds; at n >= 3 a last-bit
+difference can move where the MLE stops, so builds that do not compute bit
+for bit alike agree only to about its stop tolerance (README, "File formats").
 Configuration echoes, `ppt_tol` and POVM files passed to save_povm are
 written exactly as given; `resolution` is the fixed DC_RESOLUTION.
 """
@@ -26,7 +29,13 @@ import numpy as np
 from .crosstalk import DC_RESOLUTION, CrosstalkReport
 from .entanglement import PptReport
 from .operators import HermitianOperator, Povm
-from .tomography import MAX_QUBITS, FrequencyTable, MleDiagnostics, PreparationSet
+from .tomography import (
+    MAX_QUBITS,
+    FrequencyTable,
+    MleDiagnostics,
+    PreparationSet,
+    clipped_repr,
+)
 
 CROSSTALK_CSV_COLUMNS = (
     "qubits",
@@ -113,13 +122,13 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
     dim = doc["dim"]
     labels = doc["labels"]
     if not _is_int(dim) or dim < 2:
-        raise SchemaError(f"{where}: dim must be an integer >= 2, got {dim!r}")
+        raise SchemaError(f"{where}: dim must be an integer >= 2, got {clipped_repr(dim)}")
     if not (_is_finite_matrix(doc["re"], dim) and _is_finite_matrix(doc["im"], dim)):
         raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of finite numbers")
     if not isinstance(labels, list) or any(not _is_int(q) for q in labels):
-        raise SchemaError(f"{where}: labels must be a list of integers, got {labels!r}")
+        raise SchemaError(f"{where}: labels must be a list of integers, got {clipped_repr(labels)}")
     if 2 ** len(labels) != dim:
-        raise SchemaError(f"{where}: labels {labels!r} do not match dim {dim}")
+        raise SchemaError(f"{where}: labels {clipped_repr(labels)} do not match dim {dim}")
     re = np.asarray(doc["re"], dtype=float)
     im = np.asarray(doc["im"], dtype=float)
     try:
@@ -142,7 +151,9 @@ def povm_from_dict(doc: dict) -> Povm:
         raise SchemaError("POVM document needs keys 'n' and 'elements'")
     n = doc["n"]
     if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
-        raise SchemaError(f"POVM qubit count must be an integer in 1..{MAX_QUBITS}, got {n!r}")
+        raise SchemaError(
+            f"POVM qubit count must be an integer in 1..{MAX_QUBITS}, got {clipped_repr(n)}"
+        )
     elements = doc["elements"]
     if not isinstance(elements, dict):
         raise SchemaError("POVM 'elements' must map outcome bitstrings to operators")
@@ -195,7 +206,7 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
     """
     version = doc.get("version")
     if not _is_int(version) or version != 1:
-        raise SchemaError(f"counts version must be 1, got {version!r}")
+        raise SchemaError(f"counts version must be 1, got {clipped_repr(version)}")
     qubits = doc.get("qubits")
     if (
         not isinstance(qubits, list)
@@ -203,7 +214,9 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
         or any(not _is_int(q) for q in qubits)
         or len(set(qubits)) != len(qubits)
     ):
-        raise SchemaError(f"counts 'qubits' must be a list of distinct integers, got {qubits!r}")
+        raise SchemaError(
+            f"counts 'qubits' must be a list of distinct integers, got {clipped_repr(qubits)}"
+        )
     if len(qubits) > MAX_QUBITS:
         raise SchemaError(f"counts name {len(qubits)} qubits; supported registers have 1..{MAX_QUBITS}")
     records = doc.get("preparations")
@@ -223,7 +236,8 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
         rec_shots = rec.get("shots")
         if not _is_int(rec_shots) or not 1 <= rec_shots <= _INT64_MAX:
             raise SchemaError(
-                f"{where}: 'shots' must be an integer in 1..2**63 - 1, got {rec_shots!r}"
+                f"{where}: 'shots' must be an integer in 1..2**63 - 1, "
+                f"got {clipped_repr(rec_shots)}"
             )
         shots[k] = rec_shots
         rec_counts = rec.get("counts")
@@ -232,7 +246,9 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
         total = 0
         for key, value in rec_counts.items():
             if len(key) != n or any(c not in "01" for c in key):
-                raise SchemaError(f"{where}: outcome key {key!r} is not a {n}-bit string")
+                raise SchemaError(
+                    f"{where}: outcome key {clipped_repr(key)} is not a {n}-bit string"
+                )
             if not _is_int(value) or not 0 <= value <= _INT64_MAX:
                 raise SchemaError(f"{where}: count for {key!r} must be an integer in 0..2**63 - 1")
             counts[int(key, 2), k] = value
@@ -378,7 +394,9 @@ def _report_rows(doc: dict, kind: str, fields: dict) -> list[dict]:
     """The rows of a report document, after checking the keys and types read from it."""
     qubits = doc.get("qubits")
     if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
-        raise SchemaError(f"{kind} report 'qubits' must be a list of integers, got {qubits!r}")
+        raise SchemaError(
+            f"{kind} report 'qubits' must be a list of integers, got {clipped_repr(qubits)}"
+        )
     skipped = doc.get("skipped_outcomes", [])
     if not isinstance(skipped, list) or not all(isinstance(o, str) for o in skipped):
         raise SchemaError(f"{kind} report 'skipped_outcomes' must be a list of strings")
@@ -393,7 +411,8 @@ def _report_rows(doc: dict, kind: str, fields: dict) -> list[dict]:
                 raise SchemaError(f"{kind} report row {i}: missing key {key!r}")
             if not ok(row[key]):
                 raise SchemaError(
-                    f"{kind} report row {i}: {key!r} must be {expected}, got {row[key]!r}"
+                    f"{kind} report row {i}: {key!r} must be {expected}, "
+                    f"got {clipped_repr(row[key])}"
                 )
     return rows
 
@@ -410,7 +429,7 @@ def load_ppt_report(path: str | Path) -> dict:
     doc = _load_json(path)
     tol = doc.get("ppt_tol")
     if not _is_finite(tol):
-        raise SchemaError(f"ppt report 'ppt_tol' must be a finite number, got {tol!r}")
+        raise SchemaError(f"ppt report 'ppt_tol' must be a finite number, got {clipped_repr(tol)}")
     rows = _report_rows(doc, "ppt", _PPT_ROW_FIELDS)
     cells = {(r["outcome"], r["bipartition"]) for r in rows}
     outcomes = {o for o, _ in cells}

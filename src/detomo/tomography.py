@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +49,16 @@ _PROB_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
 
 
+def clipped_repr(value: object) -> str:
+    """repr(value) for an error message, cut to at most 60 characters.
+
+    reprlib stops at a few levels of nesting and a few items per container,
+    so a huge or deeply nested input value is never rendered whole.
+    """
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
     """Per-qubit MUB indices, shape (K, n), of product-state label tuples.
 
@@ -58,11 +69,13 @@ def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
     for k, labels in enumerate(label_tuples):
         if len(labels) != n:
             raise ValueError(
-                f"preparation {k}: label tuple {labels!r} does not match {n} qubits"
+                f"preparation {k}: label tuple {clipped_repr(labels)} does not match {n} qubits"
             )
         for q, label in enumerate(labels):
             if not isinstance(label, str) or label not in _MUB_INDEX:
-                raise ValueError(f"preparation {k}: unknown preparation label {label!r}")
+                raise ValueError(
+                    f"preparation {k}: unknown preparation label {clipped_repr(label)}"
+                )
             index[k, q] = _MUB_INDEX[label]
     return index
 

@@ -1,3 +1,4 @@
+import gc
 import importlib.metadata
 import json
 import os
@@ -461,6 +462,29 @@ def test_report_without_inputs_is_usage_error(capsys):
 
 
 # -------------------------------------------------------------- entry point
+
+
+def test_parser_cycles_die_young(capsys):
+    # With a collection on every allocation and no full one, a parser built
+    # while the collector runs is promoted while in use and then only a full
+    # collection frees it; main builds it with the collector paused.
+    thresholds = gc.get_threshold()
+    gc.collect()
+    gc.set_threshold(1, 1, 10**9)
+    try:
+        assert run_cli("report") == 2
+        assert gc.isenabled()
+        gc.collect(1)
+        left = gc.collect()
+    finally:
+        gc.set_threshold(*thresholds)
+    assert left < 50
+    gc.disable()
+    try:
+        assert run_cli("report") == 2
+        assert not gc.isenabled()  # a caller's paused collector stays paused
+    finally:
+        gc.enable()
 
 
 def test_runtime_imports_numpy_only():

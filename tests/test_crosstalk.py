@@ -37,7 +37,9 @@ from detomo import (
     trace_distance,
     NoiseSpec,
 )
+import detomo.crosstalk as ct
 from detomo.crosstalk import _smoothed, usable_elements
+from detomo.operators import kron
 from product_scan_oracle import nearest_product_distance
 
 # Frozen outputs of tests/product_scan_oracle.py (1e6-point Bloch-pair scan
@@ -268,6 +270,40 @@ def test_stacked_smoothed_rows_equal_lone_calls(dims):
         assert np.array_equal(g_k[0], g[k])
 
 
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 4), (2, 2, 2, 2)])
+def test_stacked_als_rows_equal_lone_calls(dims, monkeypatch):
+    # A cap of 4 sweeps stops the random elements' rows unconverged, while
+    # the exact products' rows stop earlier on their own.
+    monkeypatch.setattr(ct, "_ALS_MAX_SWEEPS", 4)
+    rng = np.random.default_rng(len(dims) * 10 + dims[-1])
+    n = sum(d.bit_length() - 1 for d in dims)
+    product = [random_element(d.bit_length() - 1, rng).matrix for d in dims]
+    canons = [random_element(n, rng).matrix for _ in range(4)] + [kron(product)] * 2
+    targets = np.stack(canons).reshape((len(canons),) + dims * 2)
+    seeds = [
+        np.stack([random_element(d.bit_length() - 1, rng).matrix for _ in canons]) for d in dims
+    ]
+    factors, converged = ct._als(targets, dims, seeds)
+    assert not converged[:4].any() and converged[4:].all()
+    for k in range(len(canons)):
+        lone, lone_ok = ct._als(targets[k : k + 1], dims, [s[k : k + 1] for s in seeds])
+        assert lone_ok[0] == converged[k]
+        for f, f_k in zip(factors, lone):
+            assert np.array_equal(f_k[0], f[k])
+        assert np.array_equal(kron([f[0] for f in lone]), kron([f[k] for f in factors]))
+
+
+def test_psd_unit_trace_maps_a_negative_row_to_the_maximally_mixed_state():
+    rng = np.random.default_rng(3)
+    rows = np.stack([random_element(2, rng).matrix, -random_element(2, rng).matrix,
+                     rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))])
+    out = ct._psd_unit_trace(rows)
+    assert np.array_equal(out[1], np.eye(4) / 4)
+    for k in (0, 2):
+        assert np.array_equal(out[k], ct._psd_unit_trace(rows[k : k + 1])[0])
+        assert np.trace(out[k]).real == pytest.approx(1.0)
+
+
 def _assert_same_fit(a, b):
     assert a.distance == b.distance
     assert a.restarts_used == b.restarts_used
@@ -329,13 +365,20 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
         monkeypatch.setattr(ct, name, wrapped)
 
     spy("fit_products", fits, lambda items: len(items))
-    spy("_lockstep", locksteps, lambda dims, problems: (dims, len(problems)))
     spy("_smoothed", stacks, lambda canon, dims, x, mu: (dims, len(canon)))
+    lockstep = ct._lockstep
+
+    def counted(dims, problems):  # _lockstep pulls its problems lazily
+        pulled = []
+        locksteps.append((dims, pulled))
+        return lockstep(dims, (pulled.append(p) or p for p in problems))
+
+    monkeypatch.setattr(ct, "_lockstep", counted)
     povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3))
     analyze_povm(povm)
     assert fits == [8 * 4]  # every outcome x (full split and three 1:2 cuts)
     assert [dims for dims, _ in locksteps] == [(2, 2, 2), (2, 4)]
-    assert dict(locksteps)[(2, 4)] > 8  # the three cuts share one lockstep
+    assert len(dict(locksteps)[(2, 4)]) > 8  # the three cuts share one lockstep
     # at most 2^n = 8 fits are live at a time, each polishing with its own inverse Hessian
     assert max(size for _, size in stacks) == 8
 

@@ -321,6 +321,36 @@ def test_reconstruct_exits_3_on_oversized_register(tmp_path, capsys, qubits):
     assert len(_assert_schema_error(code, capsys)) < 200
 
 
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
+# A bad value is quoted clipped, however deep or long it is.
+@pytest.mark.parametrize(
+    "field, value, names",
+    [
+        ("qubits", _nested(900), "'qubits'"),
+        ("labels", [_nested(900)] * N, "preparation 0"),
+        ("counts", {"0" * 100_000: 16}, "preparation 0"),
+    ],
+)
+def test_reconstruct_clips_the_bad_value_in_its_message(tmp_path, capsys, field, value, names):
+    doc = copy.deepcopy(BASE_COUNTS)
+    if field == "qubits":
+        doc["qubits"] = value
+    else:
+        doc["preparations"][0][field] = value
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps(doc))
+    code = main(["reconstruct", "--counts", str(path), "--out", str(tmp_path / "povm.json")])
+    err = _assert_schema_error(code, capsys)
+    assert names in err
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("n", [5, 100_000_000])
 def test_analyze_exits_3_on_oversized_register(tmp_path, capsys, n):
     path = tmp_path / "povm.json"
