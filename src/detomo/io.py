@@ -4,6 +4,10 @@ All JSON writers are deterministic (fixed key order, trailing newline) so
 that a repeated run with identical inputs produces byte-identical files;
 run timestamps live only inside the report metadata object.
 
+The MLE diagnostics list the log-likelihood and completeness residual of
+every iteration, and delta and the smallest eigenvalue only at the
+iterations named in trace_steps (diagnostics_to_dict).
+
 Measured floats (MLE diagnostics traces, crosstalk distances, partial-
 transpose eigenvalues) are written at MEASURED_DECIMALS places and a
 reconstructed POVM is stored on a 10**-POVM_DECIMALS grid, so that the files
@@ -287,6 +291,7 @@ def diagnostics_to_dict(diag: MleDiagnostics) -> dict:
         "converged": diag.converged,
         "final_delta": measured(diag.final_delta),
         "log_likelihoods": _measured_list(diag.log_likelihoods),
+        "trace_steps": [int(step) for step in diag.trace_steps],
         "deltas": _measured_list(diag.deltas),
         "completeness_residuals": _measured_list(diag.completeness_residuals),
         "min_eigenvalues": _measured_list(diag.min_eigenvalues),

@@ -44,6 +44,12 @@ _MUB_BLOCH = np.array(
 )
 
 _FREQ_COLUMN_TOL = 1e-12
+# The MLE takes the exact spectra of a step (its delta and smallest
+# eigenvalue) at every TRACE_EVERY-th step, at its last step, and wherever
+# the Frobenius bound cannot decide the stop test (mle_reconstruct).
+TRACE_EVERY = 10
+# Relative margin of that bound over epsilon, for rounding on rank-1 steps.
+_FROBENIUS_MARGIN = 1e-6
 # Lower clips of Born probabilities and of normalization-operator eigenvalues.
 _PROB_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
@@ -228,12 +234,21 @@ class FrequencyTable:
 
 @dataclass
 class MleDiagnostics:
-    """Per-iteration traces of the reconstruction."""
+    """Traces of the reconstruction.
+
+    log_likelihoods has one entry for the start and one per iteration, and
+    completeness_residuals one per iteration.  deltas and min_eigenvalues
+    hold the exact spectra the solver took, at the 1-based iterations listed
+    in trace_steps: every TRACE_EVERY-th, any the Frobenius bound could not
+    decide, and the last, so final_delta is deltas[-1] (0.0 with no
+    iteration).
+    """
 
     iterations: int
     converged: bool
     final_delta: float
     log_likelihoods: np.ndarray = field(repr=False)
+    trace_steps: np.ndarray = field(repr=False)
     deltas: np.ndarray = field(repr=False)
     completeness_residuals: np.ndarray = field(repr=False)
     min_eigenvalues: np.ndarray = field(repr=False)
@@ -344,8 +359,15 @@ def mle_reconstruct(
     epsilon (or with no iteration at all).  The solver is deterministic, so
     identical inputs give identical outputs.
 
-    Returns the reconstructed POVM and per-iteration diagnostics; a run that
-    hits max_iters is returned with converged=False rather than raised.
+    The stop test needs the spectra of the M_i - M_i', but their Frobenius
+    norms bound the trace norms from below, so a step whose Frobenius sum
+    reaches epsilon·(1 + 1e-6) cannot stop and its eigenvalues are skipped,
+    unless it is a TRACE_EVERY-th step.  The last step's spectra are always
+    taken, so every run stops where an exact test at every step would.
+
+    Returns the reconstructed POVM and its diagnostics (MleDiagnostics); a
+    run that hits max_iters is returned with converged=False rather than
+    raised.
     Raises ValueError, before any work, for epsilon outside (0, 1),
     max_iters below 1, or a table that does not match the probe set.
     """
@@ -372,25 +394,44 @@ def mle_reconstruct(
     m = start[2]
 
     logliks = [-start[0]]
-    deltas: list[float] = []
     completeness: list[float] = []
+    trace_steps: list[int] = []
+    deltas: list[float] = []
     min_eigs: list[float] = []
+
+    def record_spectra(step: int, diff: np.ndarray, m_new: np.ndarray) -> float:
+        eigs = np.linalg.eigvalsh(np.concatenate([diff, m_new]))
+        trace_steps.append(step)
+        deltas.append(float(np.abs(eigs[:num_outcomes]).sum()))
+        min_eigs.append(float(eigs[num_outcomes:].min()))
+        return deltas[-1]
+
+    # sum_i ||D_i||_F <= sum_i ||D_i||_1: a step whose Frobenius sum reaches this cannot stop
+    bound = epsilon * (1.0 + _FROBENIUS_MARGIN)
+    iterations = 0
     # true also when lbfgs ends because no step above the step floor lowers -L
     converged = True
 
     for iterations, (_, (value, _, m_new)) in enumerate(lbfgs(objective, x, start), 1):
-        eigs = np.linalg.eigvalsh(np.concatenate([m_new - m, m_new]))
-        delta = float(np.abs(eigs[:num_outcomes]).sum())
-        deltas.append(delta)
+        diff = m_new - m
         completeness.append(float(np.abs(m_new.sum(axis=0) - eye).max()))
-        min_eigs.append(float(eigs[num_outcomes:].min()))
         logliks.append(-value)
         m = m_new
-        if delta < epsilon:
+        last = iterations == max_iters
+        exact = (
+            last
+            or iterations % TRACE_EVERY == 0
+            or float(np.linalg.norm(diff, axis=(1, 2)).sum()) < bound
+        )
+        if exact and record_spectra(iterations, diff, m) < epsilon:
             break
-        if iterations == max_iters:
+        if last:
             converged = False
             break
+    else:
+        # lbfgs ended at the step floor: take the last step's spectra if not yet taken
+        if iterations and trace_steps[-1:] != [iterations]:
+            record_spectra(iterations, diff, m)
 
     povm = Povm(tuple(HermitianOperator(mi, preps.qubit_labels) for mi in m))
     report = validate_povm(povm)
@@ -401,10 +442,11 @@ def mle_reconstruct(
             f"completeness residual {report.completeness_residual:.3e}"
         )
     diag = MleDiagnostics(
-        iterations=len(deltas),
+        iterations=iterations,
         converged=converged,
         final_delta=deltas[-1] if deltas else 0.0,
         log_likelihoods=np.array(logliks),
+        trace_steps=np.array(trace_steps, dtype=np.int64),
         deltas=np.array(deltas),
         completeness_residuals=np.array(completeness),
         min_eigenvalues=np.array(min_eigs),

@@ -167,6 +167,22 @@ def test_reconstruct_round_trip(tmp_path, capsys):
     assert set(diag["metadata"]) == {"created_at", "config", "config_hash", "inputs"}
 
 
+def test_reconstruct_max_iters_ends_the_diag_trace_at_that_step(tmp_path, capsys):
+    counts = tmp_path / "counts.json"
+    run_cli(
+        "simulate", "--n", "3", "--noise", "classical_corr", "--w", "0.3", "--p", "0.05",
+        "--shots", "8192", "--seed", "11", "--out", str(counts),
+    )
+    out = tmp_path / "povm.json"
+    assert run_cli("reconstruct", "--counts", str(counts), "--out", str(out), "--max-iters", "23") == 0
+    assert "in 23 iterations (hit max_iters)" in capsys.readouterr().out
+    diag = json.loads((tmp_path / "povm.diag.json").read_text())
+    assert diag["iterations"] == 23 and diag["converged"] is False
+    assert diag["trace_steps"][-2:] == [20, 23]
+    assert len(diag["deltas"]) == len(diag["min_eigenvalues"]) == len(diag["trace_steps"])
+    assert diag["final_delta"] == diag["deltas"][-1] >= 1e-6
+
+
 def test_reconstruct_truncated_counts_is_schema_error(tmp_path, capsys):
     counts = tmp_path / "counts.json"
     run_cli(

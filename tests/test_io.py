@@ -26,6 +26,7 @@ from detomo import (
     load_counts,
     load_povm,
     make_noisy_povm,
+    mle_reconstruct,
     mub_preparations,
     operator_from_dict,
     operator_to_dict,
@@ -273,7 +274,7 @@ def test_negative_zero_is_written_as_zero():
     preport = PptReport((0, 1), (PptRow("00", "0:1", -2e-16, -0.0, "P", True),), (), 1e-7)
     diag = MleDiagnostics(
         iterations=1, converged=True, final_delta=-0.0,
-        log_likelihoods=np.array([-0.0]), deltas=np.array([-1e-12]),
+        log_likelihoods=np.array([-0.0]), trace_steps=np.array([1]), deltas=np.array([-1e-12]),
         completeness_residuals=np.array([3e-16]), min_eigenvalues=np.array([-1e-16]),
     )
     texts = [
@@ -317,16 +318,41 @@ def test_measured_fields_are_written_at_ten_decimals():
     diag = MleDiagnostics(
         iterations=2, converged=False, final_delta=1.0 / 3.0,
         log_likelihoods=np.array([-49.906597000316071, -42.9174794109192]),
+        trace_steps=np.array([1, 2], dtype=np.int64),
         deltas=np.array([0.12345678901234, 2.0 / 3.0]),
         completeness_residuals=np.array([1.5e-11, 4.4e-16]),
         min_eigenvalues=np.array([1e-16, 0.123456789012345]),
     )
     doc = diagnostics_to_dict(diag)
+    assert '"trace_steps": [1, 2],' in json.dumps(doc)
     assert doc["final_delta"] == 0.3333333333
     assert doc["log_likelihoods"] == [-49.9065970003, -42.9174794109]
     assert doc["deltas"] == [0.123456789, 0.6666666667]
     assert doc["completeness_residuals"] == [0.0, 0.0]
     assert doc["min_eigenvalues"] == [0.0, 0.123456789]
+
+
+@pytest.mark.parametrize("max_iters", [7, 23, 10000])
+def test_diagnostics_list_the_spectra_of_the_traced_steps(max_iters):
+    preps = mub_preparations(2)
+    freq = counts_to_tables(
+        sample_counts(make_noisy_povm(2, NoiseSpec(kind="entangled", p=0.6)), preps, 8192, seed=2024)
+    )[1]
+    _, diag = mle_reconstruct(freq, preps, max_iters=max_iters)
+    doc = json.loads(json.dumps(diagnostics_to_dict(diag)))
+    assert list(doc) == [
+        "iterations", "converged", "final_delta", "log_likelihoods", "trace_steps",
+        "deltas", "completeness_residuals", "min_eigenvalues",
+    ]
+    steps = doc["trace_steps"]
+    assert all(type(step) is int for step in steps)
+    assert steps == sorted(set(steps)) and steps[0] >= 1
+    assert len(steps) == len(doc["deltas"]) == len(doc["min_eigenvalues"])
+    assert steps[-1] == doc["iterations"] == min(max_iters, 32)
+    assert doc["final_delta"] == doc["deltas"][-1]
+    assert set(range(10, doc["iterations"] + 1, 10)) <= set(steps)
+    assert len(doc["log_likelihoods"]) == doc["iterations"] + 1
+    assert len(doc["completeness_residuals"]) == doc["iterations"]
 
 
 def test_configuration_echoes_are_written_as_given(tmp_path):

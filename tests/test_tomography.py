@@ -1,6 +1,8 @@
 import dataclasses
 import functools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,13 +27,18 @@ from detomo import (
     trace_distance,
     NoiseSpec,
 )
+from detomo import tomography
+from detomo.optimize import lbfgs
 from detomo.tomography import (
     MUB_LABELS,
+    TRACE_EVERY,
     _BornMap,
     _log_likelihood,
     _objective,
     _operator_rank,
 )
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_mub_preparations_single_qubit():
@@ -234,13 +241,29 @@ def test_mle_recovers_entangled_povm():
         assert trace_distance(normalize(rec.elements[i]), normalize(povm.elements[i])) <= 1e-3
 
 
-def test_mle_preserves_completeness_and_positivity_each_iteration():
+def _record_iterates(monkeypatch):
+    """Collect the POVM stack of every step tomography.lbfgs yields, in order."""
+    iterates = []
+
+    def recorded(*args):
+        for x, evaluation in lbfgs(*args):
+            iterates.append(evaluation[2])
+            yield x, evaluation
+
+    monkeypatch.setattr(tomography, "lbfgs", recorded)
+    return iterates
+
+
+def test_mle_preserves_completeness_and_positivity_each_iteration(monkeypatch):
     povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
     preps = mub_preparations(2)
     freq = exact_frequency_table(povm, preps)
+    iterates = _record_iterates(monkeypatch)
     _, diag = mle_reconstruct(freq, preps, epsilon=1e-8)
-    assert diag.completeness_residuals.max() <= 1e-8
-    assert diag.min_eigenvalues.min() >= -1e-9
+    assert len(iterates) == diag.iterations > 0
+    for m in iterates:
+        assert np.abs(m.sum(axis=0) - np.eye(4)).max() <= 1e-8
+        assert np.linalg.eigvalsh(m).min() >= -1e-9
 
 
 def test_mle_likelihood_never_ends_below_start():
@@ -422,12 +445,109 @@ def test_mle_matches_r_iteration_reference(n, spec, seed):
     assert _trace_norm_sum(np.stack([e.matrix for e in rec.elements]), ref) <= 1e-3
 
 
-def test_mle_iterates_are_complete_and_psd_to_1e_12():
+def test_mle_iterates_are_complete_and_psd_to_1e_12(monkeypatch):
     # ideal projectors: the maximum-likelihood POVM sits on the PSD boundary
     preps, freq = _shot_noise_table(3, NoiseSpec(kind="local_flip", p=0.0), seed=9)
+    iterates = _record_iterates(monkeypatch)
     _, diag = mle_reconstruct(freq, preps)
     assert diag.converged
-    assert diag.iterations > 10
-    assert diag.min_eigenvalues.min() < 1e-4
-    assert diag.completeness_residuals.max() <= 1e-12
-    assert diag.min_eigenvalues.min() >= -1e-12
+    assert diag.iterations > 10 and len(iterates) == diag.iterations
+    min_eigs = np.array([np.linalg.eigvalsh(m).min() for m in iterates])
+    completeness = np.array([np.abs(m.sum(axis=0) - np.eye(8)).max() for m in iterates])
+    assert min_eigs.min() < 1e-4
+    assert completeness.max() <= 1e-12
+    assert min_eigs.min() >= -1e-12
+
+
+def _exact_every_step(freq, preps, epsilon=1e-6, max_iters=10000):
+    """mle_reconstruct with the exact stop test and spectra at every step,
+    as it ran before the Frobenius bound, kept as the reference.
+
+    Returns the POVM and (iterations, converged, final_delta, deltas,
+    min_eigenvalues), the last two with one entry per iteration.
+    """
+    d = preps.dim
+    objective = functools.partial(_objective, _BornMap(preps), freq.frequencies)
+    x = np.repeat(np.eye(d, dtype=complex)[None] / np.sqrt(d), d, axis=0).ravel().view(float)
+    start = objective(x)
+    m = start[2]
+    deltas, min_eigs = [], []
+    converged = True
+    for iterations, (_, (_, _, m_new)) in enumerate(lbfgs(objective, x, start), 1):
+        eigs = np.linalg.eigvalsh(np.concatenate([m_new - m, m_new]))
+        delta = float(np.abs(eigs[:d]).sum())
+        deltas.append(delta)
+        min_eigs.append(float(eigs[d:].min()))
+        m = m_new
+        if delta < epsilon:
+            break
+        if iterations == max_iters:
+            converged = False
+            break
+    povm = Povm(tuple(HermitianOperator(mi, preps.qubit_labels) for mi in m))
+    final_delta = deltas[-1] if deltas else 0.0
+    return povm, (len(deltas), converged, final_delta, np.array(deltas), np.array(min_eigs))
+
+
+def _golden_counts():
+    return counts_to_tables(json.loads((GOLDEN / "counts.json").read_text()))
+
+
+def _criterion_2_draw_18():
+    rng = np.random.default_rng(2202)
+    for _ in range(18):
+        truth = random_povm(2, rng)
+    preps = mub_preparations(2)
+    return preps, exact_frequency_table(truth, preps)
+
+
+def _uniform():
+    preps = mub_preparations(1)
+    return preps, FrequencyTable(np.full((2, 6), 0.5), np.full(6, 1000))
+
+
+_CLASSICAL_CORR_11 = functools.partial(
+    _shot_noise_table, 3, NoiseSpec(kind="classical_corr", w=0.3, p=0.05), 11
+)
+
+
+@pytest.mark.parametrize(
+    "table, options",
+    [
+        (_golden_counts, {}),
+        (_CLASSICAL_CORR_11, {}),
+        (_CLASSICAL_CORR_11, {"max_iters": 7}),
+        (_CLASSICAL_CORR_11, {"max_iters": 23}),
+        (_criterion_2_draw_18, {"epsilon": 1e-7}),
+        # the same 78 steps, but the bound decides step 78, so its spectra
+        # are taken only after lbfgs ends
+        (_criterion_2_draw_18, {"epsilon": 1e-8}),
+        (_uniform, {"epsilon": 1e-9}),
+    ],
+    ids=[
+        "golden", "classical_corr", "max_iters_7", "max_iters_23", "step_floor",
+        "step_floor_past_the_bound", "uniform",
+    ],
+)
+def test_traced_steps_stop_where_the_exact_test_stops(table, options):
+    preps, freq = table()
+    ref, (iterations, converged, final_delta, deltas, min_eigs) = _exact_every_step(
+        freq, preps, **options
+    )
+    rec, diag = mle_reconstruct(freq, preps, **options)
+    assert (diag.iterations, diag.converged, diag.final_delta) == (
+        iterations, converged, final_delta
+    )
+    for got, want in zip(rec.elements, ref.elements):
+        assert np.array_equal(got.matrix, want.matrix)
+    steps = diag.trace_steps
+    assert steps.dtype == np.int64
+    assert np.array_equal(diag.deltas, deltas[steps - 1])
+    assert np.array_equal(diag.min_eigenvalues, min_eigs[steps - 1])
+    assert len(diag.log_likelihoods) == iterations + 1
+    assert len(diag.completeness_residuals) == iterations
+    if iterations:
+        assert steps[-1] == iterations
+        assert set(range(TRACE_EVERY, iterations + 1, TRACE_EVERY)) <= set(steps)
+    else:
+        assert len(steps) == 0 and diag.final_delta == 0.0
