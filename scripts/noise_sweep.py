@@ -50,7 +50,7 @@ def main() -> None:
             {
                 "x": x,
                 "D_N": total_error(elem, "00"),
-                "D_C": crosstalk_error(elem, split, outcome="00"),
+                "D_C": crosstalk_error(elem, split),
                 "min_pt_eigenvalue": verdict.min_eigenvalue,
                 "verdict": verdict.verdict,
             }

@@ -19,6 +19,7 @@ from typing import Generator, Iterator, Sequence
 import numpy as np
 
 from .operators import (
+    PSD_TOL,
     HermitianOperator,
     NormalizedElement,
     Povm,
@@ -369,19 +370,14 @@ def _lockstep(dims: tuple[int, ...], problems: Iterator[tuple[np.ndarray, _Fit]]
 
 
 def _seeds(
-    canon: HermitianOperator,
-    blocks: Sequence[tuple[int, ...]],
-    dims: Sequence[int],
-    outcome_bits: list[str] | None,
+    canon: HermitianOperator, blocks: Sequence[tuple[int, ...]], dims: Sequence[int]
 ) -> Iterator[list[np.ndarray]]:
     """Block partial traces of the element with its blocks on contiguous axes,
-    then a basis projector, then maximally mixed."""
+    then per block the basis projector on its partial trace's largest
+    diagonal entry (the first of equal ones), then maximally mixed."""
     traces = [partial_trace(canon, block).matrix for block in blocks]
     yield [_psd_unit_trace(pt[None])[0] for pt in traces]
-    if outcome_bits is None:
-        picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
-    else:
-        picks = [int(bits, 2) for bits in outcome_bits]
+    picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
     yield [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
     yield [np.eye(d, dtype=complex) / d for d in dims]
 
@@ -416,8 +412,8 @@ def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
 
 
 def _problems(dims: tuple[int, ...], items: list[tuple]) -> Iterator[tuple[np.ndarray, _Fit]]:
-    """(canon, _fit) per (canon_op, blocks, outcome bits) item, in order; the
-    seeds of 2^(n-1) items at a time, half a lockstep's width, share one _als."""
+    """(canon, _fit) per (canon_op, blocks) item, in order; the seeds of
+    2^(n-1) items at a time, half a lockstep's width, share one _als."""
     chunk = math.prod(dims) // 2
     for start in range(0, len(items), chunk):
         for canon, ends in _als_ends(dims, items[start : start + chunk]):
@@ -425,10 +421,10 @@ def _problems(dims: tuple[int, ...], items: list[tuple]) -> Iterator[tuple[np.nd
 
 
 def _als_ends(dims: tuple[int, ...], items: list[tuple]) -> list[tuple[np.ndarray, list]]:
-    """(canon, its seeds' ALS end points (factors, converged)) per item, from
-    one stacked _als.  Each row is copied out of the stack, so that no fit
-    keeps the stack alive."""
-    seeds = [(op.matrix, list(_seeds(op, blocks, dims, bits))) for op, blocks, bits in items]
+    """(canon, its seeds' ALS end points (factors, converged)) per
+    (canon_op, blocks) item, from one stacked _als.  Each row is copied out
+    of the stack, so that no fit keeps the stack alive."""
+    seeds = [(op.matrix, list(_seeds(op, blocks, dims))) for op, blocks in items]
     rows = [(canon, seed) for canon, item in seeds for seed in item]
     factors, converged = _als(
         np.stack([canon for canon, _ in rows]).reshape((len(rows),) + dims * 2),
@@ -439,19 +435,18 @@ def _als_ends(dims: tuple[int, ...], items: list[tuple]) -> list[tuple[np.ndarra
     return [(canon, [next(ends) for _ in item]) for canon, item in seeds]
 
 
-def fit_products(
-    items: Sequence[tuple[NormalizedElement, Partition, str | None]],
-) -> list[ProductFit]:
-    """fit_product for each (element, partition, outcome) item.
+def fit_products(items: Sequence[tuple[NormalizedElement, Partition]]) -> list[ProductFit]:
+    """fit_product for each (element, partition) pair.
 
-    Every item is checked before any fit runs.  The fits of all items with
-    the same block dimensions then run side by side, in item order: the
-    seeds of 2^(n-1) items at a time go through one stacked ALS (_problems),
-    and the polishes take one stacked objective evaluation per step
-    (_lockstep).  Each keeps its own path bit for bit, so every fit is
-    identical to a lone fit_product call.
+    A fit depends on the element and the partition alone.  Every pair is
+    checked before any fit runs.  The fits of all pairs with the same block
+    dimensions then run side by side, in pair order: the seeds of 2^(n-1)
+    pairs at a time go through one stacked ALS (_problems), and the polishes
+    take one stacked objective evaluation per step (_lockstep).  Each keeps
+    its own path bit for bit, so every fit is identical to a lone
+    fit_product call.
     """
-    for elem, partition, _ in items:
+    for elem, partition in items:
         if len(partition.blocks) < 2:
             raise ValueError("crosstalk queries need at least two blocks")
         if partition.covered != frozenset(elem.qubit_labels):
@@ -460,14 +455,10 @@ def fit_products(
             )
 
     groups: dict[tuple[int, ...], list[int]] = {}  # item indices per block dims
-    prepared = []  # (canon_op, blocks, outcome bits) per item
-    for k, (elem, partition, outcome) in enumerate(items):
+    prepared = []  # (canon_op, blocks) per item
+    for k, (elem, partition) in enumerate(items):
         canon_op = permute_qubits(elem.op, [q for b in partition.blocks for q in b])
-        outcome_bits = None
-        if outcome is not None:
-            by_label = dict(zip(elem.qubit_labels, outcome))
-            outcome_bits = ["".join(by_label[q] for q in b) for b in partition.blocks]
-        prepared.append((canon_op, partition.blocks, outcome_bits))
+        prepared.append((canon_op, partition.blocks))
         groups.setdefault(tuple(2 ** len(b) for b in partition.blocks), []).append(k)
 
     results: list[tuple] = [()] * len(items)
@@ -487,15 +478,11 @@ def fit_products(
             converged=als_ok,
             qubit_labels=elem.qubit_labels,
         )
-        for (elem, partition, _), (dist, factors, als_ok, used) in zip(items, results)
+        for (elem, partition), (dist, factors, als_ok, used) in zip(items, results)
     ]
 
 
-def fit_product(
-    elem: NormalizedElement,
-    partition: Partition,
-    outcome: str | None = None,
-) -> ProductFit:
+def fit_product(elem: NormalizedElement, partition: Partition) -> ProductFit:
     """Nearest product element across a partition, by two-stage local search.
 
     Stage one runs alternating closed-form Frobenius updates from each seed,
@@ -503,8 +490,8 @@ def fit_product(
     distance itself by BFGS over square roots of the factors, on the
     smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3, 1e-5, 1e-7 and 1e-9 in
     turn, at most 2000 steps each (_MAX_STEPS).
-    The three seeds, in order, are the block partial traces, a basis
-    projector (the outcome's when given, else the dominant diagonal) and
+    The three seeds, in order, are the block partial traces, per block the
+    basis projector on its partial trace's largest diagonal entry, and
     maximally mixed factors; a seed whose first stage ends where an earlier
     seed's did reuses that result instead of polishing again.  The fit is
     carried out with the partition blocks permuted to contiguous axes, so a
@@ -516,7 +503,7 @@ def fit_product(
     or used (its first stage has already run, stacked with the others).
     This is fit_products with one item.
     """
-    return fit_products([(elem, partition, outcome)])[0]
+    return fit_products([(elem, partition)])[0]
 
 
 def total_error(elem: NormalizedElement, outcome: str) -> float:
@@ -524,13 +511,9 @@ def total_error(elem: NormalizedElement, outcome: str) -> float:
     return trace_distance(elem, basis_projector(outcome, elem.qubit_labels))
 
 
-def crosstalk_error(
-    elem: NormalizedElement,
-    partition: Partition,
-    outcome: str | None = None,
-) -> float:
+def crosstalk_error(elem: NormalizedElement, partition: Partition) -> float:
     """Distance to the nearest product element across the partition."""
-    return fit_product(elem, partition, outcome).distance
+    return fit_product(elem, partition).distance
 
 
 def local_error(fit: ProductFit, outcome: str) -> float:
@@ -572,13 +555,17 @@ def usable_elements(povm: Povm) -> tuple[list[tuple[str, NormalizedElement]], tu
     """(outcome, normalized element) pairs, and the skipped outcomes.
 
     Elements with trace below 1e-10 carry no usable signal and are skipped
-    instead of being normalized.
+    instead of being normalized.  So is an element that is PSD within
+    PSD_TOL but whose normalized form is not: smallest eigenvalue in
+    [-PSD_TOL, -PSD_TOL·trace).  An element below -PSD_TOL is normalized,
+    which refuses it unless its trace brings it within PSD_TOL.
     """
     usable = []
     skipped = []
     for outcome in povm.outcomes:
         element = povm.element(outcome)
-        if element.trace() < _SKIP_TRACE:
+        tr = element.trace()
+        if tr < _SKIP_TRACE or -PSD_TOL <= element.min_eigenvalue() < -PSD_TOL * tr:
             skipped.append(outcome)
         else:
             usable.append((outcome, normalize(element)))
@@ -591,21 +578,23 @@ def analyze_povm(
 ) -> CrosstalkReport:
     """Total/crosstalk/local error decomposition for every element.
 
-    Elements with trace below 1e-10 carry no usable signal and are listed in
-    skipped_outcomes instead of being normalized.  Every usable outcome and
-    partition is fitted in one fit_products call, in row order; a partition
-    given twice is refused before any fit runs.  A row is resolved when its
-    D_C exceeds DC_RESOLUTION.
+    Elements that usable_elements skips (trace below 1e-10, or PSD only
+    before normalizing) are listed in skipped_outcomes.  Every usable
+    element and partition is fitted in one fit_products call, in row order;
+    the outcome enters D_N and D_L* only.  A partition given twice is
+    refused before any fit runs.  A row is resolved when its D_C exceeds
+    DC_RESOLUTION.
     """
     parts = tuple(partitions) if partitions is not None else default_partitions(povm.qubit_labels)
     for k, partition in enumerate(parts):
         if partition in parts[:k]:
             raise ValueError(f"partition {partition.label()} is given twice")
     usable, skipped = usable_elements(povm)
-    items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
+    items = [(outcome, elem, partition) for outcome, elem in usable for partition in parts]
     d_n = {outcome: total_error(elem, outcome) for outcome, elem in usable}
     rows = []
-    for (_, partition, outcome), fit in zip(items, fit_products(items)):
+    fits = fit_products([(elem, partition) for _, elem, partition in items])
+    for (outcome, _, partition), fit in zip(items, fits):
         d_c = fit.distance
         d_l = local_error(fit, outcome)
         rows.append(

@@ -118,7 +118,8 @@ class PptReport:
 
 
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
-    """Classify every element; elements with trace < 1e-10 are skipped."""
+    """Classify every element that usable_elements keeps; the others
+    (trace < 1e-10, or PSD only before normalizing) are skipped."""
     _check_ppt_tol(ppt_tol)
     usable, skipped = usable_elements(povm)
     rows = []

@@ -167,7 +167,7 @@ def test_criterion_4_crosstalk_distance_soundness():
 
         split = Partition(((0,), (1,)))
         corr = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=1.0))
-        d_c = crosstalk_error(normalize(corr.element("00")), split, outcome="00")
+        d_c = crosstalk_error(normalize(corr.element("00")), split)
         assert d_c == pytest.approx(ORACLE_CLASSICAL_CORR_DC, abs=0.02)
 
 

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from detomo import (
-    ideal_povm, load_povm, make_noisy_povm, NoiseSpec, PreparationSet, save_povm, validate_povm,
+    HermitianOperator, ideal_povm, load_povm, make_noisy_povm, mub_preparations, NoiseSpec, Povm,
+    PreparationSet, sample_counts, save_povm, validate_povm,
 )
 from detomo import io as dio
 from detomo.cli import main
@@ -223,6 +225,23 @@ def test_reconstruct_parses_the_counts_file_once(tmp_path, monkeypatch):
     assert len(built) == 1 and built[0].num_states == 36
 
 
+def test_simulate_writes_the_sampled_document_without_parsing_it(tmp_path, monkeypatch):
+    counts = tmp_path / "counts.json"
+    parsed = []
+    parse = dio.counts_to_tables
+    monkeypatch.setattr(dio, "counts_to_tables", lambda doc: parsed.append(doc) or parse(doc))
+    assert run_cli(
+        "simulate", "--n", "2", "--noise", "classical_corr", "--p", "0.05", "--w", "0.3",
+        "--shots", "64", "--seed", "9", "--out", str(counts),
+    ) == 0
+    assert parsed == []
+    truth = make_noisy_povm(2, NoiseSpec("classical_corr", p=0.05, w=0.3))
+    sampled = sample_counts(truth, mub_preparations(2), shots=64, seed=9)
+    assert json.loads(counts.read_text()) == sampled
+    preps, freq = dio.load_counts(counts)
+    assert preps.num_states == 36 and freq.shots.tolist() == [64] * 36
+
+
 def _set_first_record(doc, **fields):
     doc["preparations"][0].update(fields)
 
@@ -281,6 +300,39 @@ def test_analyze_ideal_povm(tmp_path, capsys):
     assert csv_text.splitlines()[0] == "qubits,outcome,partition,D_N,D_C,D_L_star,converged,restarts_used"
     ppt = json.loads((tmp_path / "ideal.ppt.json").read_text())
     assert all(r["verdict"] == "P" for r in ppt["rows"])
+
+
+def _povm_with_small_last_element(trace: float, lowest: float) -> Povm:
+    """A complete diagonal n=2 POVM whose element 11 is trace|11><11| + lowest|00><00|."""
+    diagonals = [
+        [1.0 - lowest, 0.0, 0.0, 0.0],
+        [0.0, 1.0, 0.0, 0.0],
+        [0.0, 0.0, 1.0, 1.0 - trace],
+        [lowest, 0.0, 0.0, trace],
+    ]
+    return Povm(tuple(HermitianOperator(np.diag(d).astype(complex), (0, 1)) for d in diagonals))
+
+
+def test_analyze_skips_an_element_that_is_psd_only_before_normalizing(tmp_path, capsys):
+    # min eigenvalue -1e-12 is within PSD_TOL, but normalized by the trace
+    # 2e-9 it would be -5e-4
+    povm = _povm_with_small_last_element(2e-9, -1e-12)
+    assert validate_povm(povm).ok
+    save_povm(povm, tmp_path / "povm.json")
+    code = run_cli("analyze", "--povm", str(tmp_path / "povm.json"), "--out", str(tmp_path / "r"))
+    assert code == 0, capsys.readouterr().err
+    for kind in ("crosstalk", "ppt"):
+        doc = json.loads((tmp_path / f"r.{kind}.json").read_text())
+        assert doc["skipped_outcomes"] == ["11"]
+        assert {row["outcome"] for row in doc["rows"]} == {"00", "01", "10"}
+
+
+def test_analyze_refuses_an_element_that_is_not_psd(tmp_path, capsys):
+    povm = _povm_with_small_last_element(0.5, -1e-3)
+    save_povm(povm, tmp_path / "povm.json")
+    code = run_cli("analyze", "--povm", str(tmp_path / "povm.json"), "--out", str(tmp_path / "r"))
+    assert code == 2
+    assert "normalized element must be PSD" in capsys.readouterr().err
 
 
 def test_analyze_accepts_explicit_partitions(tmp_path):

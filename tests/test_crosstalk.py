@@ -165,13 +165,13 @@ def test_fit_product_recovers_exact_product():
 
 
 def test_fit_product_classical_corr_matches_frozen_oracle():
-    fit = fit_product(classical_corr_element(), SPLIT_01, outcome="00")
+    fit = fit_product(classical_corr_element(), SPLIT_01)
     assert fit.distance == pytest.approx(ORACLE_CLASSICAL_CORR_DC, abs=1e-5)
     assert fit.converged
 
 
 def test_fit_product_bell_matches_frozen_oracle():
-    fit = fit_product(bell_element(), SPLIT_01, outcome="00")
+    fit = fit_product(bell_element(), SPLIT_01)
     assert fit.distance == pytest.approx(ORACLE_BELL_DC, abs=1e-5)
     assert fit.distance > 0.3
 
@@ -179,7 +179,7 @@ def test_fit_product_bell_matches_frozen_oracle():
 def test_fit_product_reaches_frozen_oracle_on_shot_noisy_element():
     # D_C is an upper bound from a local search; on this element a search
     # that stops early sits 1.3e-4 above the brute-force scan.
-    fit = fit_product(local_flip_reconstruction(), SPLIT_01, outcome="00")
+    fit = fit_product(local_flip_reconstruction(), SPLIT_01)
     assert fit.distance <= ORACLE_LOCAL_FLIP_DC + 1e-6
 
 
@@ -193,10 +193,19 @@ def test_reduced_oracle_rescan_agrees_with_frozen_values():
     assert d_bell == pytest.approx(ORACLE_BELL_DC, abs=2e-3)
 
 
+def test_projector_seed_is_each_blocks_dominant_diagonal():
+    # readout that flips more than half the time: outcome 00's element weighs
+    # |1> most on each qubit, so the projector seed is |1><1| on each block
+    elem = normalize(make_noisy_povm(2, NoiseSpec("local_flip", p=0.7)).element("00"))
+    _, projector, _ = ct._seeds(elem.op, SPLIT_01.blocks, (2, 2))
+    for factor in projector:
+        assert np.array_equal(factor, np.diag([0.0, 1.0]).astype(complex))
+
+
 def test_fit_product_is_deterministic():
     elem = classical_corr_element()
-    f1 = fit_product(elem, SPLIT_01, outcome="00")
-    f2 = fit_product(elem, SPLIT_01, outcome="00")
+    f1 = fit_product(elem, SPLIT_01)
+    f2 = fit_product(elem, SPLIT_01)
     assert f1.distance == f2.distance
     assert f1.restarts_used == f2.restarts_used
     for a, b in zip(f1.factors, f2.factors):
@@ -248,7 +257,7 @@ def test_triangle_inequality_holds_per_fit(seed):
 
 def test_local_error_uses_fitted_factors():
     elem = NormalizedElement(HermitianOperator(np.diag([0.9, 0.0, 0.1, 0.0]), (0, 1)))
-    fit = fit_product(elem, SPLIT_01, outcome="00")
+    fit = fit_product(elem, SPLIT_01)
     assert fit.distance <= 1e-6  # (0.9|0><0| + 0.1|1><1|) (x) |0><0| is a product
     assert local_error(fit, "00") == pytest.approx(0.1, abs=1e-5)
 
@@ -333,7 +342,7 @@ def test_analyze_rows_equal_lone_fits():
     for outcome, elem in usable:
         for partition in parts:
             row = next(rows)
-            lone = fit_product(elem, partition, outcome=outcome)
+            lone = fit_product(elem, partition)
             assert (row.outcome, row.partition) == (outcome, partition.label())
             assert row.d_c == min(max(lone.distance, 0.0), 1.0)
             assert row.d_l_star == min(max(local_error(lone, outcome), 0.0), 1.0)
@@ -341,13 +350,13 @@ def test_analyze_rows_equal_lone_fits():
             assert row.converged == lone.converged
     # every partition's items in one batch, shuffled so the (2,2,2) and (2,4)
     # problems interleave in their locksteps
-    items = [(elem, partition, outcome) for outcome, elem in usable for partition in parts]
+    items = [(elem, partition) for _, elem in usable for partition in parts]
     order = np.random.default_rng(5).permutation(len(items))
     shuffled = [items[k] for k in order]
-    shapes = [len(p.blocks) for _, p, _ in shuffled]
+    shapes = [len(p.blocks) for _, p in shuffled]
     assert sum(a != b for a, b in zip(shapes, shapes[1:])) > 2
-    for (elem, partition, outcome), fit in zip(shuffled, fit_products(shuffled)):
-        _assert_same_fit(fit, fit_product(elem, partition, outcome=outcome))
+    for (elem, partition), fit in zip(shuffled, fit_products(shuffled)):
+        _assert_same_fit(fit, fit_product(elem, partition))
 
 
 def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
@@ -446,7 +455,7 @@ def test_fit_products_checks_every_item_before_fitting(bad, monkeypatch):
     elem = random_element(3, np.random.default_rng(41))
     good = Partition(((0,), (1, 2)))
     with pytest.raises(ValueError):
-        fit_products([(elem, good, "000"), (elem, full_split((0, 1, 2)), None), (elem, bad, None)])
+        fit_products([(elem, good), (elem, full_split((0, 1, 2))), (elem, bad)])
     assert calls == []
 
 
@@ -455,10 +464,10 @@ def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
     a = random_element(1, rng, labels=(0,))
     b = random_element(1, rng, labels=(1,))
     product = NormalizedElement(tensor([a.op, b.op]))
-    fits = fit_products([(product, SPLIT_01, None), (bell_element(), SPLIT_01, "00")])
+    fits = fit_products([(product, SPLIT_01), (bell_element(), SPLIT_01)])
     assert fits[0].restarts_used == 1
     _assert_same_fit(fits[0], fit_product(product, SPLIT_01))
-    _assert_same_fit(fits[1], fit_product(bell_element(), SPLIT_01, outcome="00"))
+    _assert_same_fit(fits[1], fit_product(bell_element(), SPLIT_01))
     assert fits[1].restarts_used > 1
 
 
@@ -473,10 +482,10 @@ def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
     corr, bell = classical_corr_element(), bell_element()
     seeds = ct._seeds
     monkeypatch.setattr(ct, "_seeds", lambda *args: iter([next(seeds(*args))]))
-    first_seed = fit_product(corr, SPLIT_01, outcome="00")
+    first_seed = fit_product(corr, SPLIT_01)
     monkeypatch.setattr(ct, "_seeds", seeds)
     assert first_seed.distance == pytest.approx(0.5)
-    assert fit_product(corr, SPLIT_01, outcome="00").distance < 0.45
+    assert fit_product(corr, SPLIT_01).distance < 0.45
 
     starts = []
     polish = ct._polish
@@ -487,7 +496,7 @@ def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
 
     monkeypatch.setattr(ct, "_polish", counted)
     monkeypatch.setattr(ct, "_EARLY_STOP", 0.6)
-    fits = fit_products([(bell, SPLIT_01, "00"), (corr, SPLIT_01, "00")])
+    fits = fit_products([(bell, SPLIT_01), (corr, SPLIT_01)])
     assert starts.count(corr.matrix.tobytes()) == 1
     assert starts.count(bell.matrix.tobytes()) == 2
     _assert_same_fit(fits[1], first_seed)
