@@ -38,9 +38,12 @@ def _metadata(config: dict, input_path: str) -> dict:
     }
 
 
-def _sibling(path: str, tag: str) -> str:
-    p = Path(path)
-    return str(p.with_name(p.stem + f".{tag}.json") if p.suffix else p.with_name(p.name + f".{tag}.json"))
+def _second_output(out: str, path: str | None, flag: str, tag: str) -> str:
+    """path, or out's sibling <stem>.<tag>.json; refused if it resolves to out."""
+    path = path or str(Path(out).with_name(f"{Path(out).stem}.{tag}.json"))
+    if Path(path).resolve() == Path(out).resolve():
+        raise ValueError(f"{flag} {path!r} would overwrite --out {out!r}")
+    return path
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -48,12 +51,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if len(pair) != 2:
         raise ValueError(f"--pair expects two comma-separated qubits, got {args.pair!r}")
     spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair)
+    truth_out = _second_output(args.out, args.truth_out, "--truth-out", "truth")
     # the probe set refuses n outside 1..4 before the 8**n-sized POVM is built
     preps = mub_preparations(args.n)
     povm = make_noisy_povm(args.n, spec)
     # written without save_counts' check: sample_counts' documents are valid by construction
     dio._dump_json(sample_counts(povm, preps, shots=args.shots, seed=args.seed), args.out)
-    truth_out = args.truth_out or _sibling(args.out, "truth")
     dio.save_povm(povm, truth_out)
     print(
         f"simulated {preps.num_states} preparations x {args.shots} shots "
@@ -63,10 +66,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
+    diag_out = _second_output(args.out, args.diagnostics_out, "--diagnostics-out", "diag")
     preps, freq = dio.load_counts(args.counts)
     povm, diag = mle_reconstruct(freq, preps, epsilon=args.epsilon, max_iters=args.max_iters)
     dio.save_povm(dio.round_povm(povm), args.out)
-    diag_out = args.diagnostics_out or _sibling(args.out, "diag")
     payload = dio.diagnostics_to_dict(diag)
     config = {"epsilon": args.epsilon, "max_iters": args.max_iters}
     payload["metadata"] = _metadata(config, args.counts)

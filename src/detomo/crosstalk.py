@@ -45,7 +45,6 @@ _TIE_TOL = 1e-9
 _DEDUPE_TOL = 1e-8
 _ALS_TOL = 1e-10
 _ALS_MAX_SWEEPS = 500
-_EARLY_STOP = 1e-10
 # The polish smooths the trace norm as tr√(Δ²+μ²I), for each μ in turn.
 _SMOOTHING = (1e-3, 1e-5, 1e-7, 1e-9)
 # A stage before the last ends at its first step that lowers the smoothed
@@ -371,15 +370,14 @@ def _lockstep(dims: tuple[int, ...], problems: Iterator[tuple[np.ndarray, _Fit]]
 
 def _seeds(
     canon: HermitianOperator, blocks: Sequence[tuple[int, ...]], dims: Sequence[int]
-) -> Iterator[list[np.ndarray]]:
-    """Block partial traces of the element with its blocks on contiguous axes,
-    then per block the basis projector on its partial trace's largest
-    diagonal entry (the first of equal ones), then maximally mixed."""
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The two seeds: the block partial traces of the element with its blocks
+    on contiguous axes, then per block the basis projector on its partial
+    trace's largest diagonal entry (the first of equal ones)."""
     traces = [partial_trace(canon, block).matrix for block in blocks]
-    yield [_psd_unit_trace(pt[None])[0] for pt in traces]
     picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
-    yield [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
-    yield [np.eye(d, dtype=complex) / d for d in dims]
+    projectors = [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
+    return [_psd_unit_trace(pt[None])[0] for pt in traces], projectors
 
 
 def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
@@ -388,10 +386,10 @@ def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
 
     An end point whose product coincides with an earlier seed's reuses that
     result; a new one farther than 1e-9 from the element is polished.  A
-    later seed wins only if it beats the best by more than 1e-9, and the
-    search stops once the best is 1e-10 or less: no later seed is polished or
-    used.  Its polishes' trial points pass through it to _lockstep; it
-    returns (distance, factors, ALS converged, seeds used).
+    later seed wins only if it beats the best by more than 1e-9, so once the
+    best is 1e-9 or less none can, and the search stops there: no later seed
+    is polished or used.  Its polishes' trial points pass through it to
+    _lockstep; it returns (distance, factors, ALS converged, seeds used).
     """
     done: list[tuple[np.ndarray, float, list[np.ndarray]]] = []  # (ALS product, distance, factors)
     for used, (factors, als_ok) in enumerate(ends, 1):
@@ -406,7 +404,7 @@ def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
         _, dist, factors = end
         if used == 1 or dist < best[0] - _TIE_TOL:
             best = (dist, factors, als_ok)
-        if best[0] <= _EARLY_STOP:
+        if best[0] <= _TIE_TOL:
             break
     return best + (used,)
 
@@ -424,7 +422,7 @@ def _als_ends(dims: tuple[int, ...], items: list[tuple]) -> list[tuple[np.ndarra
     """(canon, its seeds' ALS end points (factors, converged)) per
     (canon_op, blocks) item, from one stacked _als.  Each row is copied out
     of the stack, so that no fit keeps the stack alive."""
-    seeds = [(op.matrix, list(_seeds(op, blocks, dims))) for op, blocks in items]
+    seeds = [(op.matrix, _seeds(op, blocks, dims)) for op, blocks in items]
     rows = [(canon, seed) for canon, item in seeds for seed in item]
     factors, converged = _als(
         np.stack([canon for canon, _ in rows]).reshape((len(rows),) + dims * 2),
@@ -486,22 +484,20 @@ def fit_product(elem: NormalizedElement, partition: Partition) -> ProductFit:
     """Nearest product element across a partition, by two-stage local search.
 
     Stage one runs alternating closed-form Frobenius updates from each seed,
-    the three seeds stacked in one call; stage two polishes the trace
+    the two seeds stacked in one call; stage two polishes the trace
     distance itself by BFGS over square roots of the factors, on the
     smoothed trace norm tr√(Δ²+μ²I) for μ = 1e-3, 1e-5, 1e-7 and 1e-9 in
     turn, at most 2000 steps each (_MAX_STEPS).
-    The three seeds, in order, are the block partial traces, per block the
-    basis projector on its partial trace's largest diagonal entry, and
-    maximally mixed factors; a seed whose first stage ends where an earlier
-    seed's did reuses that result instead of polishing again.  The fit is
-    carried out with the partition blocks permuted to contiguous axes, so a
-    consistent relabeling of qubits and partition sees an identical problem
-    and returns identical distances.
+    The two seeds, in order, are the block partial traces and, per block, the
+    basis projector on its partial trace's largest diagonal entry; when the
+    second seed's first stage ends where the first's did, it reuses that
+    result instead of polishing again.  The fit is carried out with the partition
+    blocks permuted to contiguous axes, so a consistent relabeling of qubits
+    and partition sees an identical problem and returns identical distances.
 
-    Ties across seeds within 1e-9 keep the earliest seed; the search stops
-    once a distance of 1e-10 or less is found, and no later seed is polished
-    or used (its first stage has already run, stacked with the others).
-    This is fit_products with one item.
+    The second seed wins only if it beats the first by more than 1e-9, so
+    the search stops once the first reaches 1e-9 or less (_fit).  This is
+    fit_products with one item.
     """
     return fit_products([(elem, partition)])[0]
 

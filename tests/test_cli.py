@@ -140,6 +140,20 @@ def test_unknown_noise_kind_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("truth_out", ["counts.json", "./counts.json", "sub/../counts.json"])
+def test_simulate_refuses_a_truth_path_that_is_its_out(tmp_path, capsys, monkeypatch, truth_out):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr("detomo.cli.mub_preparations", pytest.fail)
+    code = run_cli(
+        "simulate", "--n", "2", "--noise", "local_flip", "--out", str(tmp_path / "counts.json"),
+        "--truth-out", truth_out,
+    )
+    assert code == 2
+    assert "--truth-out" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
+
+
 def test_unwritable_output_path_is_io_error(tmp_path, capsys):
     code = run_cli(
         "simulate", "--n", "1", "--noise", "local_flip", "--shots", "8",
@@ -183,6 +197,21 @@ def test_reconstruct_max_iters_ends_the_diag_trace_at_that_step(tmp_path, capsys
     assert diag["trace_steps"][-2:] == [20, 23]
     assert len(diag["deltas"]) == len(diag["min_eigenvalues"]) == len(diag["trace_steps"])
     assert diag["final_delta"] == diag["deltas"][-1] >= 1e-6
+
+
+@pytest.mark.parametrize("diag_out", ["povm.json", "./povm.json", "sub/../povm.json"])
+def test_reconstruct_refuses_a_diagnostics_path_that_is_its_out(tmp_path, capsys, monkeypatch, diag_out):
+    counts = tmp_path / "counts.json"
+    run_cli("simulate", "--n", "1", "--noise", "local_flip", "--shots", "32", "--out", str(counts))
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    monkeypatch.setattr(dio, "load_counts", pytest.fail)
+    code = run_cli(
+        "reconstruct", "--counts", str(counts), "--out", "povm.json", "--diagnostics-out", diag_out
+    )
+    assert code == 2
+    assert "--diagnostics-out" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["counts.json", "counts.truth.json", "sub"]
 
 
 def test_reconstruct_truncated_counts_is_schema_error(tmp_path, capsys):

@@ -197,7 +197,7 @@ def test_projector_seed_is_each_blocks_dominant_diagonal():
     # readout that flips more than half the time: outcome 00's element weighs
     # |1> most on each qubit, so the projector seed is |1><1| on each block
     elem = normalize(make_noisy_povm(2, NoiseSpec("local_flip", p=0.7)).element("00"))
-    _, projector, _ = ct._seeds(elem.op, SPLIT_01.blocks, (2, 2))
+    _, projector = ct._seeds(elem.op, SPLIT_01.blocks, (2, 2))
     for factor in projector:
         assert np.array_equal(factor, np.diag([0.0, 1.0]).astype(complex))
 
@@ -471,36 +471,73 @@ def test_exact_product_batched_with_entangled_element_stops_after_one_seed():
     assert fits[1].restarts_used > 1
 
 
-def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
-    # No fit in the suite reaches 1e-10 only after a polish, so the stop is
-    # raised to 0.6.  The classical_corr element's first seed (maximally mixed
-    # partial traces) polishes to 0.5 and stops there, although its second
-    # seed ends its ALS elsewhere (and would reach sqrt(2) - 1).  The Bell
-    # element stays above 0.6 and polishes its two distinct ALS end points.
-    import detomo.crosstalk as ct
-
-    corr, bell = classical_corr_element(), bell_element()
+def test_the_projector_seed_reaches_the_classical_corr_oracle(monkeypatch):
+    # The classical_corr element's first seed (maximally mixed partial traces)
+    # polishes to 0.5; its second seed ends its ALS elsewhere and reaches
+    # sqrt(2) - 1.
     seeds = ct._seeds
-    monkeypatch.setattr(ct, "_seeds", lambda *args: iter([next(seeds(*args))]))
-    first_seed = fit_product(corr, SPLIT_01)
+    monkeypatch.setattr(ct, "_seeds", lambda *args: seeds(*args)[:1])
+    first_seed = fit_product(classical_corr_element(), SPLIT_01)
     monkeypatch.setattr(ct, "_seeds", seeds)
     assert first_seed.distance == pytest.approx(0.5)
-    assert fit_product(corr, SPLIT_01).distance < 0.45
+    assert fit_product(classical_corr_element(), SPLIT_01).distance < 0.45
 
-    starts = []
+
+def test_fit_stops_polishing_at_its_early_stop(monkeypatch):
+    # No fit in the suite reaches 1e-9 only after a polish, so the stand-in
+    # polish of the classical_corr element returns such a distance at once.
+    # Its second seed would have ended its ALS elsewhere and been polished.
+    # The Bell element, batched with it, polishes its two distinct ALS end
+    # points.
+    corr, bell = classical_corr_element(), bell_element()
     polish = ct._polish
+    for stop in (0.0, ct._TIE_TOL):
+        starts = []
 
-    def counted(canon, *args):
-        starts.append(canon.tobytes())
-        return polish(canon, *args)
+        def stand_in(canon, dims, factors, start_distance):
+            starts.append(canon.tobytes())
+            if canon.tobytes() == corr.matrix.tobytes():
+                return factors, stop
+            return (yield from polish(canon, dims, factors, start_distance))
 
-    monkeypatch.setattr(ct, "_polish", counted)
-    monkeypatch.setattr(ct, "_EARLY_STOP", 0.6)
-    fits = fit_products([(bell, SPLIT_01), (corr, SPLIT_01)])
-    assert starts.count(corr.matrix.tobytes()) == 1
-    assert starts.count(bell.matrix.tobytes()) == 2
-    _assert_same_fit(fits[1], first_seed)
-    assert fits[0].restarts_used == 3
+        monkeypatch.setattr(ct, "_polish", stand_in)
+        fits = fit_products([(bell, SPLIT_01), (corr, SPLIT_01)])
+        assert starts.count(corr.matrix.tobytes()) == 1
+        assert starts.count(bell.matrix.tobytes()) == 2
+        assert fits[1].distance == stop
+        assert fits[1].restarts_used == 1
+        assert fits[0].restarts_used == 2
+
+
+def _element_of_rank(n: int, rank: int, rng: np.random.Generator) -> NormalizedElement:
+    x = rng.standard_normal((2**n, rank)) + 1j * rng.standard_normal((2**n, rank))
+    return normalize(HermitianOperator(x @ x.conj().T, tuple(range(n))))
+
+
+def test_dropping_the_maximally_mixed_seed_keeps_every_fit(monkeypatch):
+    # The fit used to try the maximally mixed product as a third seed.  With
+    # it appended again, every fit must keep its distance, factors and flag
+    # bit for bit: n=2 and n=3 elements of every rank, every default
+    # partition, and the two frozen-oracle elements.
+    rng = np.random.default_rng(2718)
+    items = [(classical_corr_element(), SPLIT_01), (bell_element(), SPLIT_01)]
+    for n in (2, 3):
+        for rank in range(1, 2**n + 1):
+            elem = _element_of_rank(n, rank, rng)
+            items += [(elem, partition) for partition in default_partitions(elem.qubit_labels)]
+    fits = fit_products(items)
+
+    seeds = ct._seeds
+
+    def with_maximally_mixed(canon, blocks, dims):
+        return (*seeds(canon, blocks, dims), [np.eye(d, dtype=complex) / d for d in dims])
+
+    monkeypatch.setattr(ct, "_seeds", with_maximally_mixed)
+    for fit, reference in zip(fits, fit_products(items), strict=True):
+        assert fit.distance == reference.distance
+        assert fit.converged == reference.converged
+        for a, b in zip(fit.factors, reference.factors, strict=True):
+            assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_polish_keeps_its_als_start_when_no_stage_ends_closer(monkeypatch):

@@ -140,21 +140,21 @@ def test_counts_to_tables_fills_missing_outcomes_with_zeros():
     np.testing.assert_allclose(table.frequencies[:, 1], [0.0, 1.0, 0.0, 0.0])
 
 
-def test_validate_counts_names_offending_record():
+def test_counts_to_tables_names_offending_record():
     doc = counts_fixture()
     doc["preparations"][5]["shots"] += 1
     with pytest.raises(SchemaError, match="preparation 5"):
         counts_to_tables(doc)
 
 
-def test_validate_counts_rejects_bad_outcome_key():
+def test_counts_to_tables_rejects_bad_outcome_key():
     doc = counts_fixture()
     doc["preparations"][0]["counts"]["012"] = 0
     with pytest.raises(SchemaError, match="'012'"):
         counts_to_tables(doc)
 
 
-def test_validate_counts_rejects_bad_headers():
+def test_counts_to_tables_rejects_bad_headers():
     with pytest.raises(SchemaError):
         counts_to_tables({"version": 2, "qubits": [0], "preparations": []})
     with pytest.raises(SchemaError):

@@ -89,7 +89,7 @@ def test_preparation_set_rejects_duplicate_qubit_labels():
         PreparationSet(mub_preparations(2).labels, (0, 0))
 
 
-def test_preparations_from_labels_rejects_unknown_label():
+def test_preparation_set_rejects_unknown_label():
     with pytest.raises(ValueError, match=r"preparation 1: unknown preparation label 'x'"):
         PreparationSet([("0", "1"), ("0", "x")], (0, 1))
 
@@ -159,7 +159,7 @@ def test_frequency_table_from_counts():
     np.testing.assert_allclose(table.frequencies[:, 0], [0.75, 0.25])
 
 
-def test_mle_config_validation(monkeypatch):
+def test_mle_reconstruct_checks_its_settings(monkeypatch):
     preps = mub_preparations(1)
     freq = exact_frequency_table(ideal_povm(1), preps)
     # refused before any work: the informational-completeness check never runs
