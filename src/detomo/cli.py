@@ -38,11 +38,18 @@ def _metadata(config: dict, input_path: str) -> dict:
     }
 
 
+def _refuse_clash(writes: list[tuple[str, str]], keeps: list[tuple[str, str | None]]) -> None:
+    """Refuse any (flag, path) of writes that resolves to a path of keeps, before any work."""
+    for keep_flag, keep in keeps:
+        for flag, path in writes:
+            if keep is not None and Path(path).resolve() == Path(keep).resolve():
+                raise ValueError(f"{flag} {path!r} would overwrite {keep_flag} {keep!r}")
+
+
 def _second_output(out: str, path: str | None, flag: str, tag: str) -> str:
     """path, or out's sibling <stem>.<tag>.json; refused if it resolves to out."""
     path = path or str(Path(out).with_name(f"{Path(out).stem}.{tag}.json"))
-    if Path(path).resolve() == Path(out).resolve():
-        raise ValueError(f"{flag} {path!r} would overwrite --out {out!r}")
+    _refuse_clash([(flag, path)], [("--out", out)])
     return path
 
 
@@ -67,6 +74,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_reconstruct(args: argparse.Namespace) -> int:
     diag_out = _second_output(args.out, args.diagnostics_out, "--diagnostics-out", "diag")
+    _refuse_clash(
+        [("--out", args.out), ("--diagnostics-out", diag_out)], [("--counts", args.counts)]
+    )
     preps, freq = dio.load_counts(args.counts)
     povm, diag = mle_reconstruct(freq, preps, epsilon=args.epsilon, max_iters=args.max_iters)
     dio.save_povm(dio.round_povm(povm), args.out)
@@ -83,6 +93,9 @@ def cmd_reconstruct(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    formats = ("json", "csv") if args.format == "both" else (args.format,)
+    written = [f"{args.out}.{kind}.{fmt}" for fmt in formats for kind in ("crosstalk", "ppt")]
+    _refuse_clash([("--out", path) for path in written], [("--povm", args.povm)])
     povm = dio.load_povm(args.povm)
     partitions = None
     if args.partitions:
@@ -94,16 +107,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = {"partitions": list(args.partitions or []), "ppt_tol": args.ppt_tol}
     metadata = _metadata(config, args.povm)
 
-    written = []
     base = args.out
-    if args.format in ("json", "both"):
+    if "json" in formats:
         dio.write_crosstalk_json(report, f"{base}.crosstalk.json", metadata)
         dio.write_ppt_json(ppt, f"{base}.ppt.json", metadata)
-        written += [f"{base}.crosstalk.json", f"{base}.ppt.json"]
-    if args.format in ("csv", "both"):
+    if "csv" in formats:
         dio.write_crosstalk_csv(report, f"{base}.crosstalk.csv")
         dio.write_ppt_csv(ppt, f"{base}.ppt.csv")
-        written += [f"{base}.crosstalk.csv", f"{base}.ppt.csv"]
 
     worst = max((r.d_c for r in report.rows), default=0.0)
     n_verdicts = sum(1 for r in ppt.rows if r.verdict == "N")
@@ -156,6 +166,9 @@ def _render_ppt(doc: dict) -> str:
 def cmd_report(args: argparse.Namespace) -> int:
     if not args.crosstalk and not args.ppt:
         raise ValueError("report needs --crosstalk and/or --ppt input files")
+    if args.out:
+        inputs = [("--crosstalk", args.crosstalk), ("--ppt", args.ppt)]
+        _refuse_clash([("--out", args.out)], inputs)
     chunks = []
     if args.crosstalk:
         chunks.append(_render_crosstalk(dio.load_crosstalk_report(args.crosstalk)))

@@ -249,7 +249,7 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
             raise SchemaError(f"{where}: 'counts' must map outcome bitstrings to counts")
         total = 0
         for key, value in rec_counts.items():
-            if len(key) != n or any(c not in "01" for c in key):
+            if len(key) != n or key.strip("01"):
                 raise SchemaError(
                     f"{where}: outcome key {clipped_repr(key)} is not a {n}-bit string"
                 )

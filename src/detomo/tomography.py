@@ -126,56 +126,68 @@ class PreparationSet:
 
 
 class _BornMap:
-    """The Born map of a preparation set and its adjoint, through per-qubit factors.
+    """The Born map of n-qubit elements on the label grid, and its adjoint.
 
-    probabilities(m)[i, k] = tr(M_i rho_k) and adjoint(w)[i] = sum_k w[i, k] rho_k.
-    Every rho_k is a product of single-qubit MUB projectors, so both maps
-    contract one qubit at a time with the 4 x 6 map _MUB_MAP over the full
-    grid of 6**n label tuples; the probes' columns are then gathered (or
-    scatter-added, for the adjoint) by their flat label index, which allows
-    any order, subset or repetition of label tuples.
+    The label grid is the 6**n tuples of single-qubit MUB labels, the first
+    qubit most significant.  probabilities(m)[i, j] = tr(M_i rho_j) and
+    adjoint(w)[i] = sum_j w[i, j] rho_j over its product states rho_j.
+    With the paired index (s_1, t_1, ..., s_n, t_n) of an element's entries,
+    split after the first L = ceil(n/2) qubits, M_i is a (4**L, 4**(n-L))
+    matrix X_i, and the Born map is the product of two half-register
+    Kronecker products of _MUB_MAP, Re(F_L^T X_i F_R); the adjoint is
+    conj(F_L) W_i F_R^dag.  A probe set meets the grid through _fold (its
+    frequencies) and _grid_columns (its probabilities), so any order, subset
+    or repetition of label tuples is allowed.
     """
 
-    def __init__(self, preps: PreparationSet) -> None:
-        n = preps.n
+    def __init__(self, n: int) -> None:
+        left = (n + 1) // 2
+        f_left = kron([_MUB_MAP] * left)
+        f_right = kron([_MUB_MAP] * (n - left)) if n > left else np.ones((1, 1))
         self._n = n
         self._d = 2**n
-        self._grid = 6**n
-        # flat index of each probe on the label grid, first qubit most significant
-        self._column = preps.index @ (6 ** np.arange(n - 1, -1, -1))
-        self._bins = (np.arange(self._d)[:, None] * self._grid + self._column).ravel()
+        self._paired_shape = (4**left, 4 ** (n - left))
+        self._grid_shape = (6**left, 6 ** (n - left))
+        self._left_t = f_left.T.copy()
+        self._right = f_right
+        self._left_conj = f_left.conj()
+        self._right_h = f_right.conj().T.copy()
         # (i, s_1..s_n, t_1..t_n) <-> (i, s_1, t_1, ..., s_n, t_n)
         self._pairs = [0] + [a for q in range(n) for a in (1 + q, 1 + n + q)]
         self._unpairs = list(np.argsort(self._pairs))
 
-    def _per_qubit(self, x: np.ndarray, factor: np.ndarray) -> np.ndarray:
-        """Apply factor (a, b) to each of the n per-qubit axes of x (L, a**n)."""
-        size_in, size_out = factor.shape
-        rest, done = x.shape[1], 1
-        for _ in range(self._n):
-            rest //= size_in
-            # contract the last per-qubit axis and move its result to the front
-            x = (x.reshape(-1, size_in) @ factor).reshape(len(x), done * rest, size_out)
-            x = x.transpose(0, 2, 1).reshape(len(x), -1)
-            done *= size_out
-        return x
-
     def probabilities(self, m: np.ndarray) -> np.ndarray:
-        """tr(M_i rho_k) for Hermitian elements m (L, D, D), shape (L, K)."""
+        """tr(M_i rho_j) for Hermitian elements m (L, D, D), shape (L, 6**n)."""
         paired = m.reshape((len(m),) + (2,) * (2 * self._n)).transpose(self._pairs)
-        grid = self._per_qubit(paired.reshape(len(m), -1), _MUB_MAP).real
-        return grid[:, self._column]
+        x = paired.reshape((len(m),) + self._paired_shape)
+        return ((self._left_t @ x) @ self._right).real.reshape(len(m), -1)
 
     def clipped(self, m: np.ndarray) -> np.ndarray:
-        """The Born matrix clipped below at _PROB_FLOOR, as the likelihood uses it."""
+        """The Born grid clipped below at _PROB_FLOOR, as the likelihood uses it."""
         return np.clip(self.probabilities(m), _PROB_FLOOR, None)
 
     def adjoint(self, w: np.ndarray) -> np.ndarray:
-        """sum_k w[i, k] rho_k for real weights w (2**n, K), shape (2**n, D, D)."""
-        grid = np.bincount(self._bins, weights=w.ravel(), minlength=self._d * self._grid)
-        paired = self._per_qubit(grid.reshape(self._d, self._grid), _MUB_MAP.conj().T)
-        g = paired.reshape((self._d,) + (2,) * (2 * self._n)).transpose(self._unpairs)
-        return g.reshape(self._d, self._d, self._d)
+        """sum_j w[i, j] rho_j for real weights w (L, 6**n) on the grid, shape (L, D, D)."""
+        grid = w.reshape((len(w),) + self._grid_shape)
+        paired = (self._left_conj @ grid) @ self._right_h
+        g = paired.reshape((len(w),) + (2,) * (2 * self._n)).transpose(self._unpairs)
+        return g.reshape(len(w), self._d, self._d)
+
+
+def _grid_columns(preps: PreparationSet) -> np.ndarray:
+    """Flat index of each probe on the label grid, first qubit most significant."""
+    return preps.index @ (6 ** np.arange(preps.n - 1, -1, -1))
+
+
+def _fold(f: np.ndarray, preps: PreparationSet) -> np.ndarray:
+    """Per-probe columns f (L, K) summed onto the label grid, shape (L, 6**n).
+
+    Repeated probes add up, and grid cells without a probe hold 0; for the
+    probes of mub_preparations the result equals f bit for bit.
+    """
+    size = 6**preps.n
+    bins = (np.arange(len(f))[:, None] * size + _grid_columns(preps)).ravel()
+    return np.bincount(bins, weights=f.ravel(), minlength=len(f) * size).reshape(len(f), size)
 
 
 def born_matrix(povm: Povm, preps: PreparationSet) -> np.ndarray:
@@ -185,7 +197,8 @@ def born_matrix(povm: Povm, preps: PreparationSet) -> np.ndarray:
     born_probabilities.
     """
     m = np.stack([e.matrix for e in povm.elements])
-    return np.clip(_BornMap(preps).probabilities(m), 0.0, None)
+    grid = _BornMap(preps.n).probabilities(m)
+    return np.clip(grid[:, _grid_columns(preps)], 0.0, None)
 
 
 @dataclass(frozen=True)
@@ -269,7 +282,7 @@ def mub_preparations(n: int) -> PreparationSet:
 def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
     """Sum of f[i,k] * log tr[M_i rho_k] with the 0*log(0) = 0 convention."""
     m = np.stack([e.matrix for e in povm.elements])
-    return _log_likelihood(freq.frequencies, _BornMap(preps).clipped(m))
+    return _log_likelihood(_fold(freq.frequencies, preps), _BornMap(preps.n).clipped(m))
 
 
 def _log_likelihood(f: np.ndarray, p: np.ndarray) -> float:
@@ -307,12 +320,13 @@ def _objective(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """-L, its gradient in the factors packed in x, and the POVM (2**n, D, D) they give.
 
-    x packs the complex factors A_i (2**n, D, D) as real and imaginary parts;
-    M_i = T A_i A_i^dag T with T = S^(-1/2) and S = sum_j A_j A_j^dag.  With
-    G_i = sum_k (f[i,k]/p[i,k]) rho_k and B_i = A_i A_i^dag, the gradient is
-    -2 (T G_i T + K) A_i, where K = U (Gamma o U^dag H U) U^dag for
-    S = U diag(lam) U^dag, H = sum_i (B_i T G_i + G_i T B_i) and Gamma the
-    divided differences of lam^(-1/2),
+    f is the frequency table folded onto the label grid (_fold).  x packs
+    the complex factors A_i (2**n, D, D) as real and imaginary parts;
+    M_i = C_i C_i^dag with C_i = T A_i, T = S^(-1/2) and S = sum_j A_j A_j^dag.
+    With G_i = sum_j (f[i,j]/p[i,j]) rho_j and B_i = A_i A_i^dag, the
+    gradient is -2 (T G_i T + K) A_i, where K = U (Gamma o U^dag H U) U^dag
+    for S = U diag(lam) U^dag, H = sum_i (B_i T G_i + G_i T B_i) and Gamma
+    the divided differences of lam^(-1/2),
     Gamma_ab = -1 / (sqrt(lam_a lam_b) (sqrt(lam_a) + sqrt(lam_b))),
     which is the derivative -lam^(-3/2)/2 on ties without a separate case.
     """
@@ -327,14 +341,17 @@ def _objective(
         raise NumericalFailureError("singular normalization operator in MLE step")
     root = np.sqrt(np.clip(evals, _EIG_FLOOR, None))
     t = (u / root) @ u.conj().T
-    m = t @ b @ t
+    c = t @ a
+    m = c @ c.conj().transpose(0, 2, 1)
     m = 0.5 * (m + m.conj().transpose(0, 2, 1))
     p = born.clipped(m)
     g = born.adjoint(f / p)
-    bt_g = (b @ t @ g).sum(axis=0)
+    tg = t @ g
+    # sum_i B_i T G_i as one product of the B_i side by side and the T G_i stacked
+    bt_g = b.transpose(1, 0, 2).reshape(d, d * d) @ tg.reshape(d * d, d)
     gamma = -1.0 / (np.outer(root, root) * (root[:, None] + root[None, :]))
     k = u @ (gamma * (u.conj().T @ (bt_g + bt_g.conj().T) @ u)) @ u.conj().T
-    grad = -2.0 * (t @ g @ t + k) @ a
+    grad = -2.0 * (tg @ t + k) @ a
     return -_log_likelihood(f, p), grad.reshape(-1).view(float), m
 
 
@@ -387,7 +404,9 @@ def mle_reconstruct(
         )
     _check_informationally_complete(preps)
 
-    objective = functools.partial(_objective, _BornMap(preps), freq.frequencies)
+    objective = functools.partial(
+        _objective, _BornMap(preps.n), _fold(freq.frequencies, preps)
+    )
     eye = np.eye(d, dtype=complex)
     x = np.repeat(eye[None] / np.sqrt(d), num_outcomes, axis=0).ravel().view(float)
     start = objective(x)

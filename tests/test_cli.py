@@ -558,6 +558,64 @@ def test_report_without_inputs_is_usage_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+# ------------------------------------------------------ outputs over inputs
+
+# one output path spelled three ways that all resolve to the input's path
+SAME_FILE = pytest.mark.parametrize(
+    "spelling", ["{}", "./{}", "sub/../{}"], ids=["name", "./name", "sub/../name"]
+)
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@SAME_FILE
+@pytest.mark.parametrize("flag", ["--out", "--diagnostics-out"])
+def test_reconstruct_refuses_to_write_over_its_counts(tmp_path, capsys, monkeypatch, flag, spelling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    run_cli("simulate", "--n", "1", "--noise", "local_flip", "--shots", "32", "--out", "counts.json")
+    before = _files(tmp_path)
+    monkeypatch.setattr(dio, "load_counts", pytest.fail)
+    argv = ["reconstruct", "--counts", "counts.json", "--out", "povm.json"]
+    argv += [flag, spelling.format("counts.json")]
+    assert run_cli(*argv) == 2
+    assert "would overwrite --counts 'counts.json'" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+@SAME_FILE
+@pytest.mark.parametrize("flag", ["--crosstalk", "--ppt"])
+def test_report_refuses_to_write_over_its_input(tmp_path, capsys, monkeypatch, flag, spelling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    Path("r.json").write_text(json.dumps(CROSSTALK_DOC if flag == "--crosstalk" else PPT_DOC))
+    before = _files(tmp_path)
+    monkeypatch.setattr(dio, "load_crosstalk_report", pytest.fail)
+    monkeypatch.setattr(dio, "load_ppt_report", pytest.fail)
+    assert run_cli("report", flag, "r.json", "--out", spelling.format("r.json")) == 2
+    assert f"would overwrite {flag} 'r.json'" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
+@SAME_FILE
+@pytest.mark.parametrize(
+    "fmt, povm_name",
+    [("both", "rep.crosstalk.json"), ("json", "rep.ppt.json"), ("csv", "rep.crosstalk.csv")],
+)
+def test_analyze_refuses_to_write_over_its_povm(tmp_path, capsys, monkeypatch, fmt, povm_name, spelling):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    save_povm(ideal_povm(2), povm_name)
+    before = _files(tmp_path)
+    monkeypatch.setattr(dio, "load_povm", pytest.fail)
+    code = run_cli("analyze", "--povm", povm_name, "--out", spelling.format("rep"), "--format", fmt)
+    assert code == 2
+    assert f"would overwrite --povm '{povm_name}'" in capsys.readouterr().err
+    assert _files(tmp_path) == before
+
+
 # -------------------------------------------------------------- entry point
 
 

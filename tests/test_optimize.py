@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-import detomo.tomography as tomography
+import detomo.optimize as optimize
 from conftest import exact_frequency_table, random_povm
 from detomo import mle_reconstruct, mub_preparations
 from detomo.optimize import STEP_FLOOR, armijo
@@ -127,20 +127,37 @@ def test_search_from_the_origin_ends_when_the_step_no_longer_moves_x():
 def test_criterion_2_draw_18_spends_no_evaluations_below_the_floor(monkeypatch):
     # the 18th draw of criterion 2 ends in a failed search and a failed
     # retry along the gradient; both used to halve down to x + t·p == x
-    # (164 evaluations for the same 78 steps)
     rng = np.random.default_rng(2202)
     for _ in range(18):
         truth = random_povm(2, rng)
-    calls = []
-    objective = tomography._objective
+    searches = []  # (x, g, p, trial points, result) of every line search, in order
 
-    def counted(*args):
-        calls.append(None)
-        return objective(*args)
+    def recorded(x, f, g, p, *args, **kwargs):
+        trials = []
+        search = armijo(x, f, g, p, *args, **kwargs)
+        try:
+            item = next(search)
+            while True:
+                trials.append(item[1])
+                item = search.send((yield item))
+        except StopIteration as stop:
+            searches.append((x, g, p, trials, stop.value))
+            return stop.value
 
-    monkeypatch.setattr(tomography, "_objective", counted)
+    monkeypatch.setattr(optimize, "armijo", recorded)
     preps = mub_preparations(2)
     _, diag = mle_reconstruct(exact_frequency_table(truth, preps), preps, epsilon=1e-7)
-    assert diag.converged and diag.iterations == 78
+    assert diag.converged
     assert diag.final_delta >= 1e-7  # stopped because no step lowers -L
-    assert len(calls) <= 123
+    (x, g, p, trials, result), (x_retry, g_retry, p_retry, retry, retry_result) = searches[-2:]
+    assert result is None and retry_result is None
+    # the retry starts from the same point, along the gradient
+    assert x_retry is x and g_retry is g and np.array_equal(p_retry, -g)
+    floor = STEP_FLOOR * np.abs(x).max()
+    for direction, points in ((p, trials), (p_retry, retry)):
+        # every trial point moves x by more than the floor ...
+        for point in points:
+            assert np.abs(point - x).max() > floor
+        # ... and halving went on until the next step would reach the floor
+        t_last = 0.5 ** (len(points) - 1)
+        assert t_last * np.abs(direction).max() > floor >= 0.5 * t_last * np.abs(direction).max()
