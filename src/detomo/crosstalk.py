@@ -10,6 +10,7 @@ over-explains the total error.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -19,13 +20,11 @@ from typing import Generator, Iterator, Sequence
 import numpy as np
 
 from .operators import (
-    PSD_TOL,
     HermitianOperator,
     NormalizedElement,
     Povm,
     basis_projector,
     kron,
-    normalize,
     partial_trace,
     permute_qubits,
     tensor,
@@ -38,9 +37,6 @@ from .optimize import armijo
 # not certify crosstalk.
 DC_RESOLUTION = 1e-3
 
-# Elements with trace below this carry no usable signal; both the crosstalk
-# and the partial-transpose reports skip them.
-_SKIP_TRACE = 1e-10
 _TIE_TOL = 1e-9
 _DEDUPE_TOL = 1e-8
 _ALS_TOL = 1e-10
@@ -101,22 +97,18 @@ def full_split(qubit_labels: Sequence[int]) -> Partition:
 
 
 def bipartitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
-    """All 2**(n-1) - 1 two-block partitions, singleton-first lexicographic."""
+    """All 2**(n-1) - 1 two-block partitions, singleton-first lexicographic; a
+    first block of half the labels holds the smallest one."""
     labels = sorted(int(q) for q in qubit_labels)
     n = len(labels)
     if n < 2:
         raise ValueError("bipartitions need at least two qubits")
-    firsts = []
-    for mask in range(1, 2**n - 1):
-        first = tuple(labels[i] for i in range(n) if mask >> i & 1)
-        rest = tuple(labels[i] for i in range(n) if not mask >> i & 1)
-        if len(first) > len(rest):
-            continue
-        if len(first) == len(rest) and labels[0] not in first:
-            continue
-        firsts.append((first, rest))
-    firsts.sort(key=lambda fr: (len(fr[0]), fr[0]))
-    return tuple(Partition((f, r)) for f, r in firsts)
+    return tuple(
+        Partition((first, tuple(q for q in labels if q not in first)))
+        for k in range(1, n // 2 + 1)
+        for first in itertools.combinations(labels, k)
+        if 2 * k < n or first[0] == labels[0]
+    )
 
 
 def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
@@ -547,34 +539,13 @@ def _clip01(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def usable_elements(povm: Povm) -> tuple[list[tuple[str, NormalizedElement]], tuple[str, ...]]:
-    """(outcome, normalized element) pairs, and the skipped outcomes.
-
-    Elements with trace below 1e-10 carry no usable signal and are skipped
-    instead of being normalized.  So is an element that is PSD within
-    PSD_TOL but whose normalized form is not: smallest eigenvalue in
-    [-PSD_TOL, -PSD_TOL·trace).  An element below -PSD_TOL is normalized,
-    which refuses it unless its trace brings it within PSD_TOL.
-    """
-    usable = []
-    skipped = []
-    for outcome in povm.outcomes:
-        element = povm.element(outcome)
-        tr = element.trace()
-        if tr < _SKIP_TRACE or -PSD_TOL <= element.min_eigenvalue() < -PSD_TOL * tr:
-            skipped.append(outcome)
-        else:
-            usable.append((outcome, normalize(element)))
-    return usable, tuple(skipped)
-
-
 def analyze_povm(
     povm: Povm,
     partitions: Sequence[Partition] | None = None,
 ) -> CrosstalkReport:
     """Total/crosstalk/local error decomposition for every element.
 
-    Elements that usable_elements skips (trace below 1e-10, or PSD only
+    Elements that Povm.usable skips (trace below 1e-10, or PSD only
     before normalizing) are listed in skipped_outcomes.  Every usable
     element and partition is fitted in one fit_products call, in row order;
     the outcome enters D_N and D_L* only.  A partition given twice is
@@ -585,7 +556,7 @@ def analyze_povm(
     for k, partition in enumerate(parts):
         if partition in parts[:k]:
             raise ValueError(f"partition {partition.label()} is given twice")
-    usable, skipped = usable_elements(povm)
+    usable, skipped = povm.usable
     items = [(outcome, elem, partition) for outcome, elem in usable for partition in parts]
     d_n = {outcome: total_error(elem, outcome) for outcome, elem in usable}
     rows = []

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .operators import HermitianOperator, NormalizedElement, Povm
-from .crosstalk import Partition, bipartitions, usable_elements
+from .crosstalk import Partition, bipartitions
 
 PPT_TOL = 1e-7
 
@@ -86,13 +86,6 @@ def nppt_test(
     )
 
 
-def classify_bipartitions(
-    elem: NormalizedElement, ppt_tol: float = PPT_TOL
-) -> tuple[PptVerdict, ...]:
-    """NPPT test across every bipartition, singleton-first lexicographic order."""
-    return tuple(nppt_test(elem, bp, ppt_tol) for bp in bipartitions(elem.qubit_labels))
-
-
 @dataclass(frozen=True)
 class PptRow:
     outcome: str
@@ -118,13 +111,15 @@ class PptReport:
 
 
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
-    """Classify every element that usable_elements keeps; the others
-    (trace < 1e-10, or PSD only before normalizing) are skipped."""
+    """NPPT test of every element Povm.usable keeps across every bipartition;
+    the others (trace < 1e-10, or PSD only before normalizing) are skipped."""
     _check_ppt_tol(ppt_tol)
-    usable, skipped = usable_elements(povm)
+    usable, skipped = povm.usable
+    cuts = bipartitions(povm.qubit_labels)
     rows = []
     for outcome, elem in usable:
-        for v in classify_bipartitions(elem, ppt_tol):
+        for cut in cuts:
+            v = nppt_test(elem, cut, ppt_tol)
             rows.append(
                 PptRow(
                     outcome=outcome,

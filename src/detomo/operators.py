@@ -8,6 +8,7 @@ lexicographic outcome order (index i <-> bitstring format(i, "0nb")).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -17,6 +18,7 @@ PSD_TOL = 1e-9
 COMPLETENESS_TOL = 1e-8
 TRACE_ONE_TOL = 1e-10
 DEGENERATE_TRACE = 1e-12
+_SKIP_TRACE = 1e-10
 
 
 class LabelConflictError(ValueError):
@@ -159,6 +161,25 @@ class Povm:
 
     def element(self, outcome: str) -> HermitianOperator:
         return self.elements[outcome_index(outcome, self.n)]
+
+    @functools.cached_property
+    def usable(self) -> tuple[tuple[tuple[str, NormalizedElement], ...], tuple[str, ...]]:
+        """(outcome, normalized element) pairs, and the skipped outcomes, decided once.
+
+        Skipped: trace below 1e-10 (no usable signal), or PSD within PSD_TOL
+        but not once normalized (smallest eigenvalue in [-PSD_TOL,
+        -PSD_TOL·trace)).  An element below -PSD_TOL is normalized, which
+        refuses it unless its trace brings it within PSD_TOL.
+        """
+        usable = []
+        skipped = []
+        for outcome, element in zip(self.outcomes, self.elements):
+            tr = element.trace()
+            if tr < _SKIP_TRACE or -PSD_TOL <= element.min_eigenvalue() < -PSD_TOL * tr:
+                skipped.append(outcome)
+            else:
+                usable.append((outcome, normalize(element)))
+        return tuple(usable), tuple(skipped)
 
 
 @dataclass(frozen=True)

@@ -249,12 +249,12 @@ class FrequencyTable:
 class MleDiagnostics:
     """Traces of the reconstruction.
 
-    log_likelihoods has one entry for the start and one per iteration, and
-    completeness_residuals one per iteration.  deltas and min_eigenvalues
-    hold the exact spectra the solver took, at the 1-based iterations listed
-    in trace_steps: every TRACE_EVERY-th, any the Frobenius bound could not
-    decide, and the last, so final_delta is deltas[-1] (0.0 with no
-    iteration).
+    log_likelihoods (see log_likelihood) has one entry for the start and one
+    per iteration, and completeness_residuals one per iteration.  deltas and
+    min_eigenvalues hold the exact spectra the solver took, at the 1-based
+    iterations listed in trace_steps: every TRACE_EVERY-th, any the
+    Frobenius bound could not decide, and the last, so final_delta is
+    deltas[-1] (0.0 with no iteration).
     """
 
     iterations: int
@@ -279,10 +279,16 @@ def mub_preparations(n: int) -> PreparationSet:
     return PreparationSet(label_tuples, tuple(range(n)))
 
 
+def _shot_weighted(freq: FrequencyTable) -> np.ndarray:
+    """f[i,k] shots_k / mean(shots), exactly f at equal shots."""
+    return freq.frequencies * (freq.shots / freq.shots.mean())
+
+
 def log_likelihood(povm: Povm, freq: FrequencyTable, preps: PreparationSet) -> float:
-    """Sum of f[i,k] * log tr[M_i rho_k] with the 0*log(0) = 0 convention."""
+    """Sum of counts[i,k] log tr[M_i rho_k] over the mean shot count, with 0*log(0) = 0;
+    at equal shots, the sum of f[i,k] log tr[M_i rho_k]."""
     m = np.stack([e.matrix for e in povm.elements])
-    return _log_likelihood(_fold(freq.frequencies, preps), _BornMap(preps.n).clipped(m))
+    return _log_likelihood(_fold(_shot_weighted(freq), preps), _BornMap(preps.n).clipped(m))
 
 
 def _log_likelihood(f: np.ndarray, p: np.ndarray) -> float:
@@ -320,7 +326,8 @@ def _objective(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """-L, its gradient in the factors packed in x, and the POVM (2**n, D, D) they give.
 
-    f is the frequency table folded onto the label grid (_fold).  x packs
+    f is the shot-weighted frequency table folded onto the label grid
+    (_shot_weighted, _fold), so -L is that of log_likelihood.  x packs
     the complex factors A_i (2**n, D, D) as real and imaginary parts;
     M_i = C_i C_i^dag with C_i = T A_i, T = S^(-1/2) and S = sum_j A_j A_j^dag.
     With G_i = sum_j (f[i,j]/p[i,j]) rho_j and B_i = A_i A_i^dag, the
@@ -366,7 +373,7 @@ def mle_reconstruct(
 
     The POVM is written as M_i = T A_i A_i^dag T with T = S^(-1/2) and
     S = sum_j A_j A_j^dag, so every iterate is complete and PSD by
-    construction; -L is minimized over the complex factors A_i (see
+    construction; -L (log_likelihood) is minimized over the factors A_i (see
     _objective), starting from A_i = I/sqrt(D), that is M_i = I/D.  One
     iteration is one accepted step.  Iteration stops once a step moves the
     POVM by sum_i ||M_i - M_i'||_1 < epsilon, when no step above the step
@@ -405,7 +412,7 @@ def mle_reconstruct(
     _check_informationally_complete(preps)
 
     objective = functools.partial(
-        _objective, _BornMap(preps.n), _fold(freq.frequencies, preps)
+        _objective, _BornMap(preps.n), _fold(_shot_weighted(freq), preps)
     )
     eye = np.eye(d, dtype=complex)
     x = np.repeat(eye[None] / np.sqrt(d), num_outcomes, axis=0).ravel().view(float)

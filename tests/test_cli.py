@@ -356,6 +356,31 @@ def test_analyze_skips_an_element_that_is_psd_only_before_normalizing(tmp_path, 
         assert {row["outcome"] for row in doc["rows"]} == {"00", "01", "10"}
 
 
+@pytest.mark.parametrize(
+    "povm, usable",
+    [(_povm_with_small_last_element(2e-9, -1e-12), 3), (ideal_povm(3), 8)],
+    ids=["one-skipped", "ideal-n3"],
+)
+def test_analyze_normalizes_each_element_once(tmp_path, monkeypatch, povm, usable):
+    # both reports read Povm.usable, which decides the skip rule once per POVM;
+    # normalize is counted wherever a detomo module holds it
+    import detomo.operators as ops
+
+    normalized = []
+    real_normalize = ops.normalize
+    for name, module in list(sys.modules.items()):
+        if name.startswith("detomo") and getattr(module, "normalize", None) is real_normalize:
+            monkeypatch.setattr(
+                module, "normalize", lambda op: normalized.append(op) or real_normalize(op)
+            )
+    save_povm(povm, tmp_path / "povm.json")
+    code = run_cli("analyze", "--povm", str(tmp_path / "povm.json"), "--out", str(tmp_path / "r"))
+    assert code == 0
+    assert len(normalized) == usable
+    for k, op in enumerate(normalized):
+        assert not any(np.array_equal(op.matrix, other.matrix) for other in normalized[k + 1:])
+
+
 def test_analyze_refuses_an_element_that_is_not_psd(tmp_path, capsys):
     povm = _povm_with_small_last_element(0.5, -1e-3)
     save_povm(povm, tmp_path / "povm.json")

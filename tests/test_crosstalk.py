@@ -38,7 +38,7 @@ from detomo import (
     NoiseSpec,
 )
 import detomo.crosstalk as ct
-from detomo.crosstalk import _smoothed, usable_elements
+from detomo.crosstalk import _smoothed
 from detomo.operators import kron
 from product_scan_oracle import nearest_product_distance
 
@@ -114,6 +114,34 @@ def test_bipartitions_four_qubits_count_and_order():
         "(0,2):(1,3)",
         "(0,3):(1,2)",
     ]
+
+
+def _bitmask_bipartitions(qubit_labels):
+    """Reference: every subset by bit mask, filtered to the smaller side (at
+    equal sizes, the side with the smallest label), sorted by size, then
+    lexicographically."""
+    labels = sorted(int(q) for q in qubit_labels)
+    n = len(labels)
+    firsts = []
+    for mask in range(1, 2**n - 1):
+        first = tuple(labels[i] for i in range(n) if mask >> i & 1)
+        rest = tuple(labels[i] for i in range(n) if not mask >> i & 1)
+        if len(first) > len(rest):
+            continue
+        if len(first) == len(rest) and labels[0] not in first:
+            continue
+        firsts.append((first, rest))
+    firsts.sort(key=lambda fr: (len(fr[0]), fr[0]))
+    return tuple(Partition((f, r)) for f, r in firsts)
+
+
+@pytest.mark.parametrize(
+    "labels", [(0, 1), (0, 1, 2), (0, 1, 2, 3), (7, 3, 5), (9, 2, 4, 0), (5, 1)]
+)
+def test_bipartitions_equal_the_bitmask_enumeration(labels):
+    parts = bipartitions(labels)
+    assert parts == _bitmask_bipartitions(labels)
+    assert len(parts) == 2 ** (len(labels) - 1) - 1
 
 
 def test_default_partitions():
@@ -337,7 +365,7 @@ def test_analyze_rows_equal_lone_fits():
     povm = classical_corr_reconstruction_n3()
     parts = default_partitions(povm.qubit_labels)
     report = analyze_povm(povm, parts)
-    usable, _ = usable_elements(povm)
+    usable, _ = povm.usable
     rows = iter(report.rows)
     for outcome, elem in usable:
         for partition in parts:

@@ -11,7 +11,7 @@ from detomo import (
     PPT_TOL,
     Povm,
     basis_projector,
-    classify_bipartitions,
+    bipartitions,
     classify_povm,
     ideal_povm,
     nppt_test,
@@ -145,16 +145,16 @@ def test_nppt_test_argument_validation():
 
 
 def test_classify_three_qubit_product_is_all_ppt():
-    elem = NormalizedElement(basis_projector("010", (0, 1, 2)))
-    verdicts = classify_bipartitions(elem)
-    assert [v.bipartition.label() for v in verdicts] == ["0:(1,2)", "1:(0,2)", "2:(0,1)"]
-    assert all(v.verdict == "P" for v in verdicts)
+    report = classify_povm(ideal_povm(3))
+    rows = [r for r in report.rows if r.outcome == "010"]
+    assert [r.bipartition for r in rows] == ["0:(1,2)", "1:(0,2)", "2:(0,1)"]
+    assert all(r.verdict == "P" for r in rows)
 
 
 def test_classify_bell_pair_times_idle_qubit():
     bell_op = HermitianOperator(BELL, (0, 1))
     elem = NormalizedElement(tensor([bell_op, basis_projector("0", (2,))]))
-    verdicts = {v.bipartition.label(): v for v in classify_bipartitions(elem)}
+    verdicts = {bp.label(): nppt_test(elem, bp) for bp in bipartitions((0, 1, 2))}
     assert verdicts["0:(1,2)"].verdict == "N"
     assert verdicts["1:(0,2)"].verdict == "N"
     assert verdicts["2:(0,1)"].verdict == "P"
@@ -162,9 +162,8 @@ def test_classify_bell_pair_times_idle_qubit():
 
 
 def test_classify_single_qubit_has_no_bipartitions():
-    elem = NormalizedElement(basis_projector("0", (0,)))
-    with pytest.raises(ValueError):
-        classify_bipartitions(elem)
+    with pytest.raises(ValueError, match="at least two qubits"):
+        classify_povm(ideal_povm(1))
 
 
 # --------------------------------------------------------------- povm report

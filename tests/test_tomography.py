@@ -15,6 +15,7 @@ from detomo import (
     Povm,
     HermitianOperator,
     PreparationSet,
+    born_matrix,
     born_probabilities,
     counts_to_tables,
     ideal_povm,
@@ -192,6 +193,45 @@ def test_mle_and_likelihood_ignore_probe_order():
     assert diag_shuffled.iterations == diag.iterations
     for a, b in zip(rec.elements, rec_shuffled.elements):
         assert np.array_equal(a.matrix, b.matrix)
+
+
+def test_log_likelihood_weighs_each_probe_by_its_shots():
+    povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
+    preps = mub_preparations(2)
+    exact = exact_frequency_table(povm, preps)
+    shots = np.arange(1, preps.num_states + 1) * 100
+    freq = FrequencyTable(exact.frequencies, shots)
+    counts = freq.frequencies * shots
+    expected = float((counts * np.log(born_matrix(povm, preps))).sum()) / shots.mean()
+    assert log_likelihood(povm, freq, preps) == pytest.approx(expected, rel=1e-12)
+    # equal shots weigh every column by exactly 1.0
+    equal = FrequencyTable(exact.frequencies, np.full(preps.num_states, 8192))
+    assert log_likelihood(povm, equal, preps) == log_likelihood(povm, exact, preps)
+
+
+def test_a_probe_split_over_two_records_reconstructs_as_one():
+    # the same 16,384 shots of probe 0 as one record, or as two with the same labels
+    truth = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
+    preps = mub_preparations(2)
+    doc = sample_counts(truth, preps, shots=8192, seed=3)
+    extra = sample_counts(truth, preps, shots=8192, seed=4)["preparations"][0]
+    two = {**doc, "preparations": doc["preparations"] + [extra]}
+    first = doc["preparations"][0]
+    merged = {
+        "labels": first["labels"],
+        "shots": first["shots"] + extra["shots"],
+        "counts": {
+            k: first["counts"].get(k, 0) + extra["counts"].get(k, 0)
+            for k in ("00", "01", "10", "11")
+        },
+    }
+    one = {**doc, "preparations": [merged] + doc["preparations"][1:]}
+    preps_one, freq_one = counts_to_tables(one)
+    preps_two, freq_two = counts_to_tables(two)
+    rec_one, _ = mle_reconstruct(freq_one, preps_one)
+    rec_two, _ = mle_reconstruct(freq_two, preps_two)
+    for a, b in zip(rec_one.elements, rec_two.elements):
+        assert trace_distance(a, b) < 1e-5
 
 
 def test_frequency_table_requires_unit_columns():
