@@ -15,7 +15,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Generator, Iterator, Sequence
+from typing import Generator, Sequence
 
 import numpy as np
 
@@ -81,13 +81,17 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse "0:1,2" or "0:(1,2)" into blocks."""
+        """Parse "0:1,2" or "0:(1,2)" into blocks: each block is comma-separated
+        integers, optionally wrapped in one pair of parentheses."""
         blocks = []
         for part in text.split(":"):
-            part = part.strip().strip("()")
-            if not part:
-                raise ValueError(f"empty block in partition {text!r}")
-            blocks.append(tuple(int(tok) for tok in part.split(",")))
+            part = part.strip()
+            if part.startswith("(") and part.endswith(")"):
+                part = part[1:-1]
+            try:
+                blocks.append(tuple(int(tok) for tok in part.split(",")))
+            except ValueError:
+                raise ValueError(f"malformed block {part!r} in partition {text!r}") from None
         return cls(tuple(blocks))
 
 
@@ -318,38 +322,36 @@ def _polish(
     return best, best_distance
 
 
-def _lockstep(dims: tuple[int, ...], problems: Iterator[tuple[np.ndarray, _Fit]]) -> list[tuple]:
+def _lockstep(dims: tuple[int, ...], problems: list[tuple[np.ndarray, _Fit]]) -> list[tuple]:
     """Drive (canon, fit generator) problems side by side, with one stacked
     _smoothed call per round; returns what each generator returns, in order.
 
     A live fit polishes one ALS end point at a time and holds its dense
     inverse Hessian, so at most prod(dims) = 2^n fits run at a time, one per
     outcome of one partition; a finished fit's place goes to the next
-    problem, pulled from the iterator only then.
+    problem in the list.
     """
     width = math.prod(dims)
-    pulled: list[tuple[np.ndarray, _Fit]] = []
-    results: list[tuple] = []
+    results: list[tuple] = [()] * len(problems)
     trials: dict[int, tuple[float, np.ndarray]] = {}
+    waiting = iter(range(len(problems)))
 
     def advance(k: int, reply: tuple[float, np.ndarray] | None) -> None:
         try:
-            trials[k] = pulled[k][1].send(reply)
+            trials[k] = problems[k][1].send(reply)
         except StopIteration as stop:
             trials.pop(k, None)
             results[k] = stop.value
 
     def refill() -> None:
-        while len(trials) < width and (problem := next(problems, None)) is not None:
-            pulled.append(problem)
-            results.append(())
-            advance(len(pulled) - 1, None)
+        while len(trials) < width and (k := next(waiting, None)) is not None:
+            advance(k, None)
 
     refill()
     while trials:
         live = list(trials)
         f, g = _smoothed(
-            np.stack([pulled[k][0] for k in live]),
+            np.stack([problems[k][0] for k in live]),
             dims,
             np.stack([trials[k][1] for k in live]),
             np.array([trials[k][0] for k in live]),
@@ -401,20 +403,13 @@ def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:
     return best + (used,)
 
 
-def _problems(dims: tuple[int, ...], items: list[tuple]) -> Iterator[tuple[np.ndarray, _Fit]]:
-    """(canon, _fit) per (canon_op, blocks) item, in order; the seeds of
-    2^(n-1) items at a time, half a lockstep's width, share one _als."""
-    chunk = math.prod(dims) // 2
-    for start in range(0, len(items), chunk):
-        for canon, ends in _als_ends(dims, items[start : start + chunk]):
-            yield canon, _fit(canon, dims, ends)
-
-
 def _als_ends(dims: tuple[int, ...], items: list[tuple]) -> list[tuple[np.ndarray, list]]:
-    """(canon, its seeds' ALS end points (factors, converged)) per
-    (canon_op, blocks) item, from one stacked _als.  Each row is copied out
-    of the stack, so that no fit keeps the stack alive."""
-    seeds = [(op.matrix, _seeds(op, blocks, dims)) for op, blocks in items]
+    """(canon, its seeds' ALS end points (factors, converged)) per (element,
+    partition) item, canon being the element with the partition's blocks on
+    contiguous axes; the seeds of every item go through one stacked _als.
+    Each row is copied out of the stack, so that no fit keeps the stack alive."""
+    ops = [permute_qubits(elem.op, [q for b in p.blocks for q in b]) for elem, p in items]
+    seeds = [(op.matrix, _seeds(op, p.blocks, dims)) for op, (_, p) in zip(ops, items)]
     rows = [(canon, seed) for canon, item in seeds for seed in item]
     factors, converged = _als(
         np.stack([canon for canon, _ in rows]).reshape((len(rows),) + dims * 2),
@@ -430,11 +425,10 @@ def fit_products(items: Sequence[tuple[NormalizedElement, Partition]]) -> list[P
 
     A fit depends on the element and the partition alone.  Every pair is
     checked before any fit runs.  The fits of all pairs with the same block
-    dimensions then run side by side, in pair order: the seeds of 2^(n-1)
-    pairs at a time go through one stacked ALS (_problems), and the polishes
-    take one stacked objective evaluation per step (_lockstep).  Each keeps
-    its own path bit for bit, so every fit is identical to a lone
-    fit_product call.
+    dimensions then run side by side, in pair order: the seeds of all of
+    them go through one stacked ALS (_als_ends), and the polishes take one
+    stacked objective evaluation per step (_lockstep).  Each keeps its own
+    path bit for bit, so every fit is identical to a lone fit_product call.
     """
     for elem, partition in items:
         if len(partition.blocks) < 2:
@@ -445,15 +439,14 @@ def fit_products(items: Sequence[tuple[NormalizedElement, Partition]]) -> list[P
             )
 
     groups: dict[tuple[int, ...], list[int]] = {}  # item indices per block dims
-    prepared = []  # (canon_op, blocks) per item
-    for k, (elem, partition) in enumerate(items):
-        canon_op = permute_qubits(elem.op, [q for b in partition.blocks for q in b])
-        prepared.append((canon_op, partition.blocks))
+    for k, (_, partition) in enumerate(items):
         groups.setdefault(tuple(2 ** len(b) for b in partition.blocks), []).append(k)
 
     results: list[tuple] = [()] * len(items)
     for dims, group in groups.items():
-        for k, result in zip(group, _lockstep(dims, _problems(dims, [prepared[k] for k in group]))):
+        ends = _als_ends(dims, [items[k] for k in group])
+        problems = [(canon, _fit(canon, dims, seed_ends)) for canon, seed_ends in ends]
+        for k, result in zip(group, _lockstep(dims, problems)):
             results[k] = result
 
     return [

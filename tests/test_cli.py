@@ -414,6 +414,19 @@ def test_analyze_rejects_malformed_partition(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", ["0:(1,2", "(0:1,2)", "0):(1,2)", "((0)):1,2"])
+def test_analyze_refuses_malformed_parentheses(text, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("detomo.crosstalk.fit_products", pytest.fail)
+    povm_path = tmp_path / "ideal.json"
+    save_povm(ideal_povm(3), povm_path)
+    code = run_cli(
+        "analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"), "--partitions", text,
+    )
+    assert code == 2
+    assert repr(text) in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [povm_path]
+
+
 def test_analyze_rejects_a_partition_given_twice(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("detomo.crosstalk.fit_products", pytest.fail)
     povm_path = tmp_path / "ideal.json"

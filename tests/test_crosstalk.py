@@ -1,3 +1,4 @@
+import re
 from itertools import groupby
 
 import numpy as np
@@ -95,6 +96,17 @@ def test_partition_rejects_overlap_and_empty_blocks():
         Partition(((0,), ()))
     with pytest.raises(ValueError):
         Partition.parse("0::1")
+
+
+@pytest.mark.parametrize("text", ["0:1,2", "0:(1,2)", "(0):(1,2)", "0:( 1, 2 )"])
+def test_partition_parse_takes_one_optional_pair_of_parentheses_per_block(text):
+    assert Partition.parse(text) == Partition(((0,), (1, 2)))
+
+
+@pytest.mark.parametrize("text", ["0:(1,2", "(0:1,2)", "0):(1,2)", "((0)):1,2"])
+def test_partition_parse_refuses_unbalanced_or_doubled_parentheses(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        Partition.parse(text)
 
 
 def test_bipartitions_three_qubits_singleton_first():
@@ -307,7 +319,7 @@ def test_stacked_smoothed_rows_equal_lone_calls(dims):
         assert np.array_equal(g_k[0], g[k])
 
 
-@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 4), (2, 2, 2, 2)])
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 4), (4, 4), (2, 8), (2, 2, 2, 2)])
 def test_stacked_als_rows_equal_lone_calls(dims, monkeypatch):
     # A cap of 4 sweeps stops the random elements' rows unconverged, while
     # the exact products' rows stop earlier on their own.
@@ -390,7 +402,7 @@ def test_analyze_rows_equal_lone_fits():
 def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
     import detomo.crosstalk as ct
 
-    fits, locksteps, stacks = [], [], []
+    fits, als, locksteps, stacks = [], [], [], []
 
     def spy(name, log, record):
         real = getattr(ct, name)
@@ -402,22 +414,29 @@ def test_analyze_fits_once_with_one_bounded_lockstep_per_shape(monkeypatch):
         monkeypatch.setattr(ct, name, wrapped)
 
     spy("fit_products", fits, lambda items: len(items))
+    spy("_als", als, lambda targets, dims, factors: (dims, len(targets)))
+    spy("_lockstep", locksteps, lambda dims, problems: (dims, len(problems)))
     spy("_smoothed", stacks, lambda canon, dims, x, mu: (dims, len(canon)))
-    lockstep = ct._lockstep
-
-    def counted(dims, problems):  # _lockstep pulls its problems lazily
-        pulled = []
-        locksteps.append((dims, pulled))
-        return lockstep(dims, (pulled.append(p) or p for p in problems))
-
-    monkeypatch.setattr(ct, "_lockstep", counted)
     povm = make_noisy_povm(3, NoiseSpec("classical_corr", p=0.05, w=0.3))
     analyze_povm(povm)
     assert fits == [8 * 4]  # every outcome x (full split and three 1:2 cuts)
-    assert [dims for dims, _ in locksteps] == [(2, 2, 2), (2, 4)]
-    assert len(dict(locksteps)[(2, 4)]) > 8  # the three cuts share one lockstep
+    # one stacked ALS per shape, over both seeds of every fit of that shape;
+    # the three 1:2 cuts share it, and their lockstep
+    assert als == [((2, 2, 2), 2 * 8), ((2, 4), 2 * 24)]
+    assert locksteps == [((2, 2, 2), 8), ((2, 4), 24)]
     # at most 2^n = 8 fits are live at a time, each polishing with its own inverse Hessian
     assert max(size for _, size in stacks) == 8
+
+
+def test_an_n4_batch_equals_lone_fits():
+    # Nine elements of several ranks across each n=4 two-block shape, in one
+    # call, so that each shape's stacked ALS runs 18 rows.
+    rng = np.random.default_rng(4096)
+    parts = [Partition.parse("0:(1,2,3)"), Partition.parse("(0,1):(2,3)")]
+    elems = [_element_of_rank(4, rank, rng) for rank in (1, 2, 3, 4, 6, 8, 11, 14, 16)]
+    items = [(elem, partition) for elem in elems for partition in parts]
+    for (elem, partition), fit in zip(items, fit_products(items), strict=True):
+        _assert_same_fit(fit, fit_product(elem, partition))
 
 
 def test_polish_work_on_a_fixed_reconstruction(monkeypatch):
