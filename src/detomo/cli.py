@@ -97,14 +97,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     written = [f"{args.out}.{kind}.{fmt}" for fmt in formats for kind in ("crosstalk", "ppt")]
     _refuse_clash([("--out", path) for path in written], [("--povm", args.povm)])
     povm = dio.load_povm(args.povm)
-    partitions = None
-    if args.partitions:
-        partitions = tuple(Partition.parse(text) for text in args.partitions)
+    partitions = [Partition.parse(text) for text in args.partitions or ()]
     # the PPT test checks --ppt-tol, so it runs before the crosstalk fits
     ppt = classify_povm(povm, ppt_tol=args.ppt_tol)
-    report = analyze_povm(povm, partitions)
+    report = analyze_povm(povm, partitions or None)
 
-    config = {"partitions": list(args.partitions or []), "ppt_tol": args.ppt_tol}
+    config = {"partitions": [p.label() for p in partitions], "ppt_tol": args.ppt_tol}
     metadata = _metadata(config, args.povm)
 
     base = args.out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,12 +57,15 @@ _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint blocks of qubit labels; order fixes factor order."""
+    """Ordered disjoint blocks of qubit labels, integers taken with
+    operator.index (no float, string or bool); order fixes factor order."""
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(tuple(int(q) for q in b) for b in self.blocks)
+        if any(isinstance(q, bool) for b in self.blocks for q in b):
+            raise TypeError(f"qubit labels must be integers, not bools: {self.blocks}")
+        blocks = tuple(tuple(map(operator.index, b)) for b in self.blocks)
         if not blocks or any(not b for b in blocks):
             raise ValueError("partition blocks must be nonempty")
         flat = [q for b in blocks for q in b]
@@ -82,16 +86,17 @@ class Partition:
     @classmethod
     def parse(cls, text: str) -> "Partition":
         """Parse "0:1,2" or "0:(1,2)" into blocks: each block is comma-separated
-        integers, optionally wrapped in one pair of parentheses."""
+        labels, optionally wrapped in one pair of parentheses, and each label
+        is ASCII digits with optional spaces around them."""
         blocks = []
         for part in text.split(":"):
-            part = part.strip()
+            part = part.strip(" ")
             if part.startswith("(") and part.endswith(")"):
                 part = part[1:-1]
-            try:
-                blocks.append(tuple(int(tok) for tok in part.split(",")))
-            except ValueError:
-                raise ValueError(f"malformed block {part!r} in partition {text!r}") from None
+            labels = part.split(",")
+            if not all(tok.strip(" ").isdecimal() and tok.isascii() for tok in labels):
+                raise ValueError(f"malformed block {part!r} in partition {text!r}")
+            blocks.append(tuple(map(int, labels)))
         return cls(tuple(blocks))
 
 
@@ -191,9 +196,10 @@ def _als(
     """Alternating closed-form updates of each block factor, stacked over rows.
 
     targets (B, *dims, *dims) and factors[b] (B, d_b, d_b); each factor takes
-    its closed-form Frobenius least-squares value given the others, then is
-    projected back to the PSD unit-trace set.  A row ends at the first sweep
-    that moves its product ⊗F_b by less than _ALS_TOL, or after
+    its closed-form Frobenius least-squares value given the others, up to a
+    positive factor per row that the projection back to the PSD unit-trace
+    set removes, so no factor needs unit trace.  A row ends at the first
+    sweep that moves its product ⊗F_b by less than _ALS_TOL, or after
     _ALS_MAX_SWEEPS; the sweeps go on until every row has ended, and a row's
     later sweeps are discarded.  Returns the end factors and converged flags
     (B,); row k of both is bitwise what row k alone gives.
@@ -203,11 +209,8 @@ def _als(
     prev = kron(factors)
     for _ in range(_ALS_MAX_SWEEPS):
         for b, (_, subscript, _) in enumerate(_plan(dims)):
-            others = [f for i, f in enumerate(factors) if i != b]
-            w = np.einsum(subscript, targets, *[f.conj() for f in others])
-            flat = [f.reshape(len(f), -1) for f in others]
-            scale = math.prod(np.vecdot(a, a).real for a in flat)
-            factors[b] = _psd_unit_trace(w / np.maximum(scale, 1e-300)[:, None, None])
+            others = [f.conj() for i, f in enumerate(factors) if i != b]
+            factors[b] = _psd_unit_trace(np.einsum(subscript, targets, *others))
         prod = kron(factors)
         diff = np.subtract(prod, prev, out=prev).reshape(len(prod), -1)  # np.linalg.norm's sums
         for end, f in zip(ends, factors):
@@ -302,9 +305,9 @@ def _polish(
 
     Each stage starts where the previous one ended, with its curvature
     estimate.  The stages before the last end once a step gains at most
-    _STAGE_TOL·μ, the last at the step floor (_bfgs).  The end point with
-    the smallest true distance wins, or the starting factors if none
-    improves.  A generator driven by _fit; it returns (factors, distance).
+    _STAGE_TOL·μ, the last at the step floor (_bfgs).  It returns the last
+    stage's end point and its true distance if that beats start_distance,
+    else the starting factors; a generator driven by _fit.
     """
     # A little identity lets a rank-deficient factor grow rank: a zero
     # column of its root would never receive gradient.
@@ -312,14 +315,11 @@ def _polish(
     roots = [(v * np.sqrt(np.clip(w, 0.0, None))).ravel() for w, v in map(np.linalg.eigh, mixed)]
     x = np.concatenate(roots).view(float)
     h = np.eye(x.size)
-    best, best_distance = factors, start_distance
     for mu in _SMOOTHING:
         x = yield from _bfgs(x, h, mu)
-        cand = [f[0] for f in _unroot(x[None], dims)[2]]
-        dist = _distance(canon, kron(cand))
-        if dist < best_distance:
-            best, best_distance = cand, dist
-    return best, best_distance
+    polished = [f[0] for f in _unroot(x[None], dims)[2]]
+    dist = _distance(canon, kron(polished))
+    return (polished, dist) if dist < start_distance else (factors, start_distance)
 
 
 def _lockstep(dims: tuple[int, ...], problems: list[tuple[np.ndarray, _Fit]]) -> list[tuple]:
@@ -366,12 +366,12 @@ def _seeds(
     canon: HermitianOperator, blocks: Sequence[tuple[int, ...]], dims: Sequence[int]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """The two seeds: the block partial traces of the element with its blocks
-    on contiguous axes, then per block the basis projector on its partial
-    trace's largest diagonal entry (the first of equal ones)."""
+    on contiguous axes, raw (_als projects them), then per block the basis
+    projector on its partial trace's largest diagonal entry (first of ties)."""
     traces = [partial_trace(canon, block).matrix for block in blocks]
     picks = [int(np.argmax(np.real(np.diag(pt)))) for pt in traces]
     projectors = [np.diag(np.eye(d, dtype=complex)[i]) for d, i in zip(dims, picks)]
-    return [_psd_unit_trace(pt[None])[0] for pt in traces], projectors
+    return traces, projectors
 
 
 def _fit(canon: np.ndarray, dims: tuple[int, ...], ends: list[tuple]) -> _Fit:

@@ -15,8 +15,8 @@ do not carry the last bits of LAPACK/BLAS rounding.  They agree across BLAS
 thread counts and, for the n=2 golden, across builds; at n >= 3 a last-bit
 difference can move where the MLE stops, so builds that do not compute bit
 for bit alike agree only to about its stop tolerance (README, "File formats").
-Configuration echoes, `ppt_tol` and POVM files passed to save_povm are
-written exactly as given; `resolution` is the fixed DC_RESOLUTION.
+The partitions echo lists each partition's label(); `ppt_tol` and POVM files
+passed to save_povm are written exactly as given; `resolution` is DC_RESOLUTION.
 """
 
 from __future__ import annotations

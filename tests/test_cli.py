@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from detomo import (
-    HermitianOperator, ideal_povm, load_povm, make_noisy_povm, mub_preparations, NoiseSpec, Povm,
-    PreparationSet, sample_counts, save_povm, validate_povm,
+    HermitianOperator, ideal_povm, load_povm, make_noisy_povm, mub_preparations, NoiseSpec,
+    Partition, Povm, PreparationSet, sample_counts, save_povm, validate_povm,
 )
 from detomo import io as dio
 from detomo.cli import main
@@ -427,6 +427,24 @@ def test_analyze_refuses_malformed_parentheses(text, tmp_path, capsys, monkeypat
     assert sorted(tmp_path.iterdir()) == [povm_path]
 
 
+@pytest.mark.parametrize("text", ["+1:0_0,2", "\u0661:0,2", "0:1,,2"])
+def test_analyze_refuses_a_label_that_is_not_ascii_decimal(text, tmp_path, capsys, monkeypatch):
+    test_analyze_refuses_malformed_parentheses(text, tmp_path, capsys, monkeypatch)
+
+
+def test_analyze_echoes_the_parsed_partitions(tmp_path):
+    povm_path = tmp_path / "ideal.json"
+    save_povm(ideal_povm(3), povm_path)
+    code = run_cli(
+        "analyze", "--povm", str(povm_path), "--out", str(tmp_path / "r"),
+        "--partitions", "0:1,2", "--partitions", "( 1 ):(0,2)", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads((tmp_path / "r.crosstalk.json").read_text())
+    assert doc["metadata"]["config"]["partitions"] == ["0:(1,2)", "1:(0,2)"]
+    assert [row["partition"] for row in doc["rows"][:2]] == ["0:(1,2)", "1:(0,2)"]
+
+
 def test_analyze_rejects_a_partition_given_twice(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("detomo.crosstalk.fit_products", pytest.fail)
     povm_path = tmp_path / "ideal.json"
@@ -502,6 +520,44 @@ def test_analyze_reruns_are_identical_up_to_timestamp(tmp_path):
     assert docs[0] == docs[1]
     assert (tmp_path / "a.crosstalk.csv").read_bytes() == (tmp_path / "b.crosstalk.csv").read_bytes()
     assert (tmp_path / "a.ppt.csv").read_bytes() == (tmp_path / "b.ppt.csv").read_bytes()
+
+
+def test_analyze_of_an_n4_reconstruction(tmp_path):
+    # The whole n=4 loop through the command line: the entangled family
+    # couples qubits 0 and 1, so outcome 0000 is NPPT on every cut between
+    # them (about -0.2; the other three cuts read about -1e-3).
+    counts, povm, prefix = tmp_path / "counts.json", tmp_path / "povm.json", tmp_path / "r"
+    assert run_cli(
+        "simulate", "--n", "4", "--noise", "entangled", "--p", "0.4", "--seed", "1",
+        "--out", str(counts),
+    ) == 0
+    assert run_cli("reconstruct", "--counts", str(counts), "--out", str(povm)) == 0
+    assert run_cli("analyze", "--povm", str(povm), "--out", str(prefix)) == 0
+
+    crosstalk = json.loads((tmp_path / "r.crosstalk.json").read_text())
+    ppt = json.loads((tmp_path / "r.ppt.json").read_text())
+    assert len(crosstalk["rows"]) == 128 and len(ppt["rows"]) == 112
+    assert crosstalk["skipped_outcomes"] == [] and ppt["skipped_outcomes"] == []
+    for kind, doc in (("crosstalk", crosstalk), ("ppt", ppt)):
+        lines = (tmp_path / f"r.{kind}.csv").read_text().splitlines()
+        assert len(lines) == 1 + len(doc["rows"])
+
+    full = "0:1:2:3"
+    by_outcome: dict[str, dict[str, float]] = {}
+    for row in crosstalk["rows"]:
+        assert row["D_N"] <= row["D_C"] + row["D_L_star"] + 1e-9
+        by_outcome.setdefault(row["outcome"], {})[row["partition"]] = row["D_C"]
+    assert len(by_outcome) == 16
+    for d_c in by_outcome.values():
+        assert all(d_c[full] >= value - 5e-3 for value in d_c.values())
+
+    cuts = [
+        row for row in ppt["rows"]
+        if row["outcome"] == "0000"
+        and any({0, 1} & set(block) == {0} for block in Partition.parse(row["bipartition"]).blocks)
+    ]
+    assert len(cuts) == 4
+    assert all(row["min_eigenvalue"] < -0.02 for row in cuts)
 
 
 # ------------------------------------------------------------------- report

@@ -40,7 +40,7 @@ from detomo import (
 )
 import detomo.crosstalk as ct
 from detomo.crosstalk import _smoothed
-from detomo.operators import kron
+from detomo.operators import kron, partial_trace
 from product_scan_oracle import nearest_product_distance
 
 # Frozen outputs of tests/product_scan_oracle.py (1e6-point Bloch-pair scan
@@ -107,6 +107,27 @@ def test_partition_parse_takes_one_optional_pair_of_parentheses_per_block(text):
 def test_partition_parse_refuses_unbalanced_or_doubled_parentheses(text):
     with pytest.raises(ValueError, match=re.escape(repr(text))):
         Partition.parse(text)
+
+
+@pytest.mark.parametrize("text", ["+1:0_0,2", "\u0661:0,2", "0:1,,2", "0:1.0,2", "0:-1,2"])
+def test_partition_parse_takes_only_ascii_decimal_labels(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        Partition.parse(text)
+
+
+@pytest.mark.parametrize(
+    "label", [0.7, "1", True, np.bool_(False)], ids=["float", "str", "bool", "numpy-bool"]
+)
+def test_partition_refuses_a_label_that_is_not_an_integer(label):
+    with pytest.raises(TypeError):
+        Partition(((label,), (2,)))
+
+
+def test_partition_takes_numpy_integer_labels():
+    part = Partition(((np.int64(0),), (np.int32(2), np.uint8(1))))
+    assert part == Partition(((0,), (2, 1)))
+    assert all(type(q) is int for b in part.blocks for q in b)
+    assert part.label() == "0:(2,1)"
 
 
 def test_bipartitions_three_qubits_singleton_first():
@@ -340,6 +361,84 @@ def test_stacked_als_rows_equal_lone_calls(dims, monkeypatch):
         for f, f_k in zip(factors, lone):
             assert np.array_equal(f_k[0], f[k])
         assert np.array_equal(kron([f[0] for f in lone]), kron([f[k] for f in factors]))
+
+
+@pytest.mark.parametrize("dims", [(2, 2), (2, 2, 2), (2, 4)])
+def test_als_does_not_depend_on_the_scale_of_its_seeds(dims):
+    # Every update is projected to unit trace, so seeds off unit trace end
+    # where unit-trace seeds do.
+    rng = np.random.default_rng(sum(dims) * 7 + len(dims))
+    n = sum(d.bit_length() - 1 for d in dims)
+    product = [random_element(d.bit_length() - 1, rng).matrix for d in dims]
+    canons = [random_element(n, rng).matrix for _ in range(4)] + [kron(product)]
+    targets = np.stack(canons).reshape((len(canons),) + dims * 2)
+    seeds = [
+        np.stack([random_element(d.bit_length() - 1, rng).matrix for _ in canons]) for d in dims
+    ]
+    factors, converged = ct._als(targets, dims, seeds)
+    assert converged.all()
+    for scale in (2.0**-3, 2.0**5):
+        scaled, scaled_ok = ct._als(targets, dims, [scale * s for s in seeds])
+        assert np.array_equal(scaled_ok, converged)
+        for f, g in zip(factors, scaled):
+            assert np.abs(f - g).max() <= 1e-12
+
+
+def test_seeds_are_the_raw_block_partial_traces():
+    elem = random_element(3, np.random.default_rng(53))
+    for partition in default_partitions(elem.qubit_labels):
+        order = [q for b in partition.blocks for q in b]
+        canon = permute_qubits(elem.op, order)
+        dims = tuple(2 ** len(b) for b in partition.blocks)
+        traces, _ = ct._seeds(canon, partition.blocks, dims)
+        for trace, block in zip(traces, partition.blocks, strict=True):
+            assert np.array_equal(trace, partial_trace(canon, block).matrix)
+
+
+def test_a_polish_measures_its_true_distance_once(monkeypatch):
+    # _fit measures each distinct ALS end point once and each polish once,
+    # after its last stage; the polish returns that stage's end point or its
+    # ALS start.
+    distances, polishes, last_stages, als_ends = [], [], [], []
+    distance, polish, bfgs, ends_of = ct._distance, ct._polish, ct._bfgs, ct._als_ends
+
+    def counted(a, b):
+        distances.append(None)
+        return distance(a, b)
+
+    def recorded_polish(canon, dims, factors, start_distance):
+        result = yield from polish(canon, dims, factors, start_distance)
+        polishes.append((dims, factors, result[0]))
+        return result
+
+    def recorded_bfgs(x, h, mu):
+        end = yield from bfgs(x, h, mu)
+        if mu == ct._SMOOTHING[-1]:
+            last_stages.append(end)
+        return end
+
+    def recorded_ends(dims, items):
+        ends = ends_of(dims, items)
+        als_ends.extend(seed_ends for _, seed_ends in ends)
+        return ends
+
+    monkeypatch.setattr(ct, "_distance", counted)
+    monkeypatch.setattr(ct, "_polish", recorded_polish)
+    monkeypatch.setattr(ct, "_bfgs", recorded_bfgs)
+    monkeypatch.setattr(ct, "_als_ends", recorded_ends)
+    fit = fit_product(random_element(3, np.random.default_rng(43)), Partition(((0,), (1, 2))))
+
+    products = [kron(factors) for factors, _ in als_ends[0][: fit.restarts_used]]
+    distinct = [
+        p for k, p in enumerate(products)
+        if all(np.abs(q - p).max() >= ct._DEDUPE_TOL for q in products[:k])
+    ]
+    assert len(polishes) > 0
+    assert len(distances) == len(distinct) + len(polishes)
+    assert len(last_stages) == len(polishes)
+    for (dims, start, result), x in zip(polishes, last_stages):
+        last = [f[0] for f in ct._unroot(x[None], dims)[2]]
+        assert result is start or all(map(np.array_equal, result, last))
 
 
 def test_psd_unit_trace_maps_a_negative_row_to_the_maximally_mixed_state():
