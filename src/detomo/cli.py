@@ -9,7 +9,7 @@ object only, so reruns with identical inputs are byte-identical elsewhere.
 from __future__ import annotations
 
 import argparse
-import gc
+import functools
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -181,7 +181,10 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The detomo argument parser, built once per process: parse_args leaves it
+    unchanged, and each cmd_* looks up what it calls at call time."""
     parser = argparse.ArgumentParser(
         prog="detomo",
         description="Detector tomography, crosstalk measures, and entanglement tests",
@@ -230,17 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # A parser is a web of reference cycles. Built with the cyclic collector
-    # paused, it is freed by the first collection after the build; one that
-    # ran during the build would promote it to an older generation, which a
-    # long-running caller keeps until a full collection.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        args = build_parser().parse_args(argv)
-    finally:
-        if collecting:
-            gc.enable()
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except dio.SchemaError as exc:

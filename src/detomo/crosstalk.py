@@ -55,6 +55,14 @@ _START_MIX = 1e-6
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
+def _labels(qubit_labels: Sequence[int]) -> tuple[int, ...]:
+    """Qubit labels as ints, taken with operator.index: no float, string or bool."""
+    labels = tuple(qubit_labels)
+    if any(isinstance(q, bool) for q in labels):
+        raise TypeError(f"qubit labels must be integers, not bools: {labels}")
+    return tuple(map(operator.index, labels))
+
+
 @dataclass(frozen=True)
 class Partition:
     """Ordered disjoint blocks of qubit labels, integers taken with
@@ -63,9 +71,7 @@ class Partition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if any(isinstance(q, bool) for b in self.blocks for q in b):
-            raise TypeError(f"qubit labels must be integers, not bools: {self.blocks}")
-        blocks = tuple(tuple(map(operator.index, b)) for b in self.blocks)
+        blocks = tuple(map(_labels, self.blocks))
         if not blocks or any(not b for b in blocks):
             raise ValueError("partition blocks must be nonempty")
         flat = [q for b in blocks for q in b]
@@ -102,13 +108,13 @@ class Partition:
 
 def full_split(qubit_labels: Sequence[int]) -> Partition:
     """One block per qubit."""
-    return Partition(tuple((int(q),) for q in qubit_labels))
+    return Partition(tuple((q,) for q in qubit_labels))
 
 
 def bipartitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
     """All 2**(n-1) - 1 two-block partitions, singleton-first lexicographic; a
     first block of half the labels holds the smallest one."""
-    labels = sorted(int(q) for q in qubit_labels)
+    labels = sorted(_labels(qubit_labels))
     n = len(labels)
     if n < 2:
         raise ValueError("bipartitions need at least two qubits")
@@ -122,7 +128,7 @@ def bipartitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
 
 def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
     """Full split plus every bipartition (just the bipartition for n=2)."""
-    labels = tuple(int(q) for q in qubit_labels)
+    labels = _labels(qubit_labels)
     if len(labels) < 2:
         raise ValueError("crosstalk analysis needs at least two qubits")
     if len(labels) == 2:
@@ -291,6 +297,7 @@ def _bfgs(
             hy = h @ y
             ss, hys = s[:, None] * s, hy[:, None] * s  # np.outer, bit for bit
             h += ((sy + y @ hy) / sy**2) * ss - (hys + hys.T) / sy
+            del ss, hys  # a suspended polish keeps h as its only nv × nv array
         x, f, g = x_new, f_new, g_new
     return x
 

@@ -308,12 +308,22 @@ def _operator_rank(preps: PreparationSet) -> int:
 
 
 def _check_informationally_complete(preps: PreparationSet) -> None:
+    """Refuse probes that do not span the Hermitian operators.
+
+    A probe set with every cell of the label grid is complete without a rank:
+    the six MUB Bloch rows span R^4, so the grid's rows, the n-fold Kronecker
+    product of those rows, span all 4**n Pauli coordinates.
+    """
     d = preps.dim
     k = preps.num_states
     if k < d * d:
         raise ValueError(
             f"need at least {d * d} informationally complete preparations, got {k}"
         )
+    covered = np.zeros(6**preps.n, dtype=bool)
+    covered[_grid_columns(preps)] = True
+    if covered.all():
+        return
     rank = _operator_rank(preps)
     if rank < d * d:
         raise ValueError(

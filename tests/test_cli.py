@@ -714,9 +714,9 @@ def test_analyze_refuses_to_write_over_its_povm(tmp_path, capsys, monkeypatch, f
 
 
 def test_parser_cycles_die_young(capsys):
-    # With a collection on every allocation and no full one, a parser built
-    # while the collector runs is promoted while in use and then only a full
-    # collection frees it; main builds it with the collector paused.
+    # With a collection on every allocation and no full one, a call must not
+    # leave cycles that only a full collection frees; main builds its parser
+    # once per process and keeps it, so no call leaves a parser behind.
     thresholds = gc.get_threshold()
     gc.collect()
     gc.set_threshold(1, 1, 10**9)

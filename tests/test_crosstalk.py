@@ -123,6 +123,28 @@ def test_partition_refuses_a_label_that_is_not_an_integer(label):
         Partition(((label,), (2,)))
 
 
+@pytest.mark.parametrize(
+    "make, labels",
+    [
+        (default_partitions, (0.7, 1.2, 2)),
+        (bipartitions, (0.7, 1.2, 2)),
+        (full_split, (True, 2)),
+        (default_partitions, (np.bool_(False), 1, 2)),
+    ],
+    ids=["default-float", "bipartitions-float", "full-split-bool", "default-numpy-bool"],
+)
+def test_partition_builders_refuse_a_label_that_is_not_an_integer(make, labels):
+    with pytest.raises(TypeError):
+        make(labels)
+
+
+def test_partition_builders_take_numpy_integer_labels():
+    labels = (np.int64(0), np.int32(1), np.uint8(2))
+    parts = default_partitions(labels) + bipartitions(labels) + (full_split(labels),)
+    assert parts == default_partitions((0, 1, 2)) + bipartitions((0, 1, 2)) + (full_split((0, 1, 2)),)
+    assert all(type(q) is int for p in parts for b in p.blocks for q in b)
+
+
 def test_partition_takes_numpy_integer_labels():
     part = Partition(((np.int64(0),), (np.int32(2), np.uint8(1))))
     assert part == Partition(((0,), (2, 1)))
@@ -536,6 +558,25 @@ def test_an_n4_batch_equals_lone_fits():
     items = [(elem, partition) for elem in elems for partition in parts]
     for (elem, partition), fit in zip(items, fit_products(items), strict=True):
         _assert_same_fit(fit, fit_product(elem, partition))
+
+
+def test_a_suspended_polish_holds_no_square_array_but_its_inverse_hessian():
+    # one BFGS stage on a convex quadratic, driven past its first update
+    rng = np.random.default_rng(7)
+    q = rng.standard_normal((6, 6))
+    a = q @ q.T + np.eye(6)
+    h = np.eye(6)
+    stage = ct._bfgs(rng.standard_normal(6), h, ct._SMOOTHING[-1])
+    _, x = next(stage)
+    while np.array_equal(h, np.eye(6)):
+        _, x = stage.send((0.5 * x @ a @ x, a @ x))
+    square = []
+    frame_of = stage
+    while frame_of is not None:
+        square += [v for v in frame_of.gi_frame.f_locals.values()
+                   if isinstance(v, np.ndarray) and v.shape == h.shape]
+        frame_of = frame_of.gi_yieldfrom
+    assert len(square) == 1 and square[0] is h
 
 
 def test_polish_work_on_a_fixed_reconstruction(monkeypatch):

@@ -420,6 +420,41 @@ def test_operator_rank_matches_dense_rank(n):
     assert ranks == {True, False}  # both complete and rank-deficient sets were drawn
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_mub_grid_spans_the_operators(n):
+    # the fact that lets a probe set covering the label grid skip the rank
+    assert _operator_rank(mub_preparations(n)) == 4**n
+
+
+def test_only_a_probe_set_that_misses_a_grid_cell_takes_the_rank(monkeypatch):
+    calls = []
+
+    def spy(preps):
+        calls.append(preps.num_states)
+        return rank(preps)
+
+    rank = tomography._operator_rank
+    monkeypatch.setattr(tomography, "_operator_rank", spy)
+    povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
+    preps = mub_preparations(2)
+    freq = exact_frequency_table(povm, preps)
+    order = np.random.default_rng(5).permutation(preps.num_states)
+    shuffled = PreparationSet([preps.labels[k] for k in order], (0, 1))
+    freq_shuffled = FrequencyTable(freq.frequencies[:, order], freq.shots[order])
+    repeated = PreparationSet(preps.labels + preps.labels[7:8], (0, 1))
+    freq_repeated = FrequencyTable(freq.frequencies[:, list(range(36)) + [7]], np.full(37, 1000))
+    rec, _ = mle_reconstruct(freq, preps)
+    rec_shuffled, _ = mle_reconstruct(freq_shuffled, shuffled)
+    mle_reconstruct(freq_repeated, repeated)
+    assert calls == []
+    for a, b in zip(rec.elements, rec_shuffled.elements):
+        assert np.array_equal(a.matrix, b.matrix)
+    missing = PreparationSet(preps.labels[:20] + preps.labels[21:], (0, 1))
+    freq_missing = FrequencyTable(np.delete(freq.frequencies, 20, axis=1), np.full(35, 1000))
+    mle_reconstruct(freq_missing, missing, max_iters=3)
+    assert calls == [35]
+
+
 def test_mle_rejects_too_few_preparations():
     preps = mub_preparations(1)
     small = PreparationSet(labels=preps.labels[:3], qubit_labels=(0,))
