@@ -428,12 +428,12 @@ def test_the_mub_grid_spans_the_operators(n):
 
 def test_only_a_probe_set_that_misses_a_grid_cell_takes_the_rank(monkeypatch):
     calls = []
+    rank = tomography._operator_rank
 
     def spy(preps):
         calls.append(preps.num_states)
         return rank(preps)
 
-    rank = tomography._operator_rank
     monkeypatch.setattr(tomography, "_operator_rank", spy)
     povm = make_noisy_povm(2, NoiseSpec(kind="classical_corr", w=0.3, p=0.05))
     preps = mub_preparations(2)
