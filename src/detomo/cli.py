@@ -17,7 +17,7 @@ from pathlib import Path
 from . import io as dio
 from .crosstalk import Partition, analyze_povm
 from .entanglement import PPT_TOL, classify_povm
-from .operators import NumericalFailureError
+from .operators import NumericalFailureError, parse_labels
 from .simulator import NOISE_KINDS, NoiseSpec, make_noisy_povm, sample_counts
 from .tomography import mle_reconstruct, mub_preparations
 # not called here: perfbench/run.py wraps cli.log_likelihood by name in traced runs
@@ -54,10 +54,7 @@ def _second_output(out: str, path: str | None, flag: str, tag: str) -> str:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    pair = tuple(int(t) for t in args.pair.split(","))
-    if len(pair) != 2:
-        raise ValueError(f"--pair expects two comma-separated qubits, got {args.pair!r}")
-    spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=pair)
+    spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=parse_labels(args.pair))
     truth_out = _second_output(args.out, args.truth_out, "--truth-out", "truth")
     # the probe set refuses n outside 1..4 before the 8**n-sized POVM is built
     preps = mub_preparations(args.n)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
@@ -24,8 +23,10 @@ from .operators import (
     HermitianOperator,
     NormalizedElement,
     Povm,
+    as_labels,
     basis_projector,
     kron,
+    parse_labels,
     partial_trace,
     permute_qubits,
     tensor,
@@ -55,28 +56,17 @@ _START_MIX = 1e-6
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def _labels(qubit_labels: Sequence[int]) -> tuple[int, ...]:
-    """Qubit labels as ints, taken with operator.index: no float, string or bool."""
-    labels = tuple(qubit_labels)
-    if any(isinstance(q, bool) for q in labels):
-        raise TypeError(f"qubit labels must be integers, not bools: {labels}")
-    return tuple(map(operator.index, labels))
-
-
 @dataclass(frozen=True)
 class Partition:
-    """Ordered disjoint blocks of qubit labels, integers taken with
-    operator.index (no float, string or bool); order fixes factor order."""
+    """Ordered disjoint blocks of qubit labels, taken with as_labels; order fixes factor order."""
 
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        blocks = tuple(map(_labels, self.blocks))
+        blocks = tuple(map(as_labels, self.blocks))
         if not blocks or any(not b for b in blocks):
             raise ValueError("partition blocks must be nonempty")
-        flat = [q for b in blocks for q in b]
-        if len(set(flat)) != len(flat):
-            raise ValueError(f"partition blocks overlap: {blocks}")
+        as_labels(q for b in blocks for q in b)  # no label in two blocks
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -91,18 +81,17 @@ class Partition:
 
     @classmethod
     def parse(cls, text: str) -> "Partition":
-        """Parse "0:1,2" or "0:(1,2)" into blocks: each block is comma-separated
-        labels, optionally wrapped in one pair of parentheses, and each label
-        is ASCII digits with optional spaces around them."""
+        """Parse "0:1,2" or "0:(1,2)" into blocks: each block is labels as
+        parse_labels reads them, optionally in one pair of parentheses."""
         blocks = []
         for part in text.split(":"):
             part = part.strip(" ")
             if part.startswith("(") and part.endswith(")"):
                 part = part[1:-1]
-            labels = part.split(",")
-            if not all(tok.strip(" ").isdecimal() and tok.isascii() for tok in labels):
-                raise ValueError(f"malformed block {part!r} in partition {text!r}")
-            blocks.append(tuple(map(int, labels)))
+            try:
+                blocks.append(parse_labels(part))
+            except ValueError:
+                raise ValueError(f"malformed block {part!r} in partition {text!r}") from None
         return cls(tuple(blocks))
 
 
@@ -114,7 +103,7 @@ def full_split(qubit_labels: Sequence[int]) -> Partition:
 def bipartitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
     """All 2**(n-1) - 1 two-block partitions, singleton-first lexicographic; a
     first block of half the labels holds the smallest one."""
-    labels = sorted(_labels(qubit_labels))
+    labels = sorted(as_labels(qubit_labels))
     n = len(labels)
     if n < 2:
         raise ValueError("bipartitions need at least two qubits")
@@ -128,7 +117,7 @@ def bipartitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
 
 def default_partitions(qubit_labels: Sequence[int]) -> tuple[Partition, ...]:
     """Full split plus every bipartition (just the bipartition for n=2)."""
-    labels = _labels(qubit_labels)
+    labels = as_labels(qubit_labels)
     if len(labels) < 2:
         raise ValueError("crosstalk analysis needs at least two qubits")
     if len(labels) == 2:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, NormalizedElement, Povm
+from .operators import HermitianOperator, NormalizedElement, Povm, qubit_axes
 from .crosstalk import Partition, bipartitions
 
 PPT_TOL = 1e-7
@@ -27,17 +27,12 @@ def _check_ppt_tol(ppt_tol: float) -> None:
 
 def partial_transpose(op: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
     """Transpose the tensor indices of the given qubits; trace is untouched."""
-    labels = op.qubit_labels
-    qubits = tuple(int(q) for q in block)
-    if len(set(qubits)) != len(qubits) or any(q not in labels for q in qubits):
-        raise ValueError(f"block {qubits} is not a set of labels from {labels}")
-    n = len(labels)
+    n = op.n
     t = op.matrix.reshape((2,) * (2 * n))
     perm = list(range(2 * n))
-    for q in qubits:
-        p = labels.index(q)
+    for p in qubit_axes(op, block):
         perm[p], perm[n + p] = perm[n + p], perm[p]
-    return HermitianOperator(t.transpose(perm).reshape(op.dim, op.dim), labels)
+    return HermitianOperator(t.transpose(perm).reshape(op.dim, op.dim), op.qubit_labels)
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,16 @@
 """Operator algebra for multi-qubit measurement elements.
 
-Conventions used throughout the package: qubits carry integer labels; an
-outcome bitstring a1...an assigns a1 to the first label, and the leftmost bit
-is the most significant Kronecker index; POVM elements are kept in
-lexicographic outcome order (index i <-> bitstring format(i, "0nb")).
+Conventions used throughout the package: qubits carry distinct integer labels,
+taken by as_labels alone (a NumPy integer becomes an int; a float, string or
+bool is a TypeError); an outcome bitstring a1...an assigns a1 to the first
+label, the leftmost bit most significant in the Kronecker index; POVM elements
+are in lexicographic outcome order (index i <-> bitstring format(i, "0nb")).
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -37,6 +39,29 @@ class NumericalFailureError(RuntimeError):
     """A solver produced non-finite or unusable intermediates."""
 
 
+def integer(value) -> int:
+    """value as an int, taken with operator.index: no float, string or bool."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, not a bool: {value!r}")
+    return operator.index(value)
+
+
+def as_labels(qubit_labels: Iterable[int]) -> tuple[int, ...]:
+    """Distinct qubit labels as a tuple of ints, each taken with integer."""
+    labels = tuple(map(integer, qubit_labels))
+    if len(set(labels)) != len(labels):
+        raise LabelConflictError(f"duplicate qubit labels: {labels}")
+    return labels
+
+
+def parse_labels(text: str) -> tuple[int, ...]:
+    """Comma-separated qubit labels, each ASCII digits with optional spaces around."""
+    tokens = text.split(",")
+    if not all(tok.strip(" ").isdecimal() and tok.isascii() for tok in tokens):
+        raise ValueError(f"malformed qubit labels {text!r}")
+    return tuple(map(int, tokens))
+
+
 def _hermitize(matrix: np.ndarray) -> np.ndarray:
     return 0.5 * (matrix + matrix.conj().T)
 
@@ -56,9 +81,7 @@ class HermitianOperator:
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
-        labels = tuple(int(q) for q in self.qubit_labels)
-        if len(set(labels)) != len(labels):
-            raise LabelConflictError(f"duplicate qubit labels: {labels}")
+        labels = as_labels(self.qubit_labels)
         if m.shape[0] != 2 ** len(labels):
             raise DimensionMismatchError(
                 f"matrix dim {m.shape[0]} does not match {len(labels)} qubit labels"
@@ -233,12 +256,8 @@ def tensor(ops: Sequence[HermitianOperator]) -> HermitianOperator:
     """
     if not ops:
         raise ValueError("tensor of zero operators is undefined")
-    labels: list[int] = []
-    for op in ops:
-        labels.extend(op.qubit_labels)
-    if len(set(labels)) != len(labels):
-        raise LabelConflictError(f"tensor factors share qubit labels: {labels}")
-    return HermitianOperator(kron([op.matrix for op in ops]), tuple(labels))
+    labels = [q for op in ops for q in op.qubit_labels]
+    return HermitianOperator(kron([op.matrix for op in ops]), labels)
 
 
 def trace_norm(matrix: np.ndarray) -> float:
@@ -268,19 +287,18 @@ def normalize(op: HermitianOperator) -> NormalizedElement:
 
 def basis_projector(outcome: str, qubit_labels: Sequence[int]) -> HermitianOperator:
     """Projector |outcome><outcome| in the computational basis."""
-    labels = tuple(int(q) for q in qubit_labels)
-    n = len(labels)
+    n = len(qubit_labels)
     i = outcome_index(outcome, n)
     m = np.zeros((2**n, 2**n), dtype=complex)
     m[i, i] = 1.0
-    return HermitianOperator(m, labels)
+    return HermitianOperator(m, qubit_labels)
 
 
 def ideal_povm(n: int, qubit_labels: Sequence[int] | None = None) -> Povm:
     """Projective computational-basis POVM on n qubits."""
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    labels = tuple(range(n)) if qubit_labels is None else tuple(int(q) for q in qubit_labels)
+    labels = tuple(range(n)) if qubit_labels is None else as_labels(qubit_labels)
     if len(labels) != n:
         raise DimensionMismatchError(f"{len(labels)} labels given for n={n}")
     return Povm(tuple(basis_projector(format(i, f"0{n}b"), labels) for i in range(2**n)))
@@ -309,31 +327,32 @@ def validate_povm(
     return PovmValidation(mins, residual, psd_tol, completeness_tol)
 
 
+def qubit_axes(op: HermitianOperator, labels: Iterable[int]) -> list[int]:
+    """Tensor positions in op of the given labels, which must be distinct labels of op."""
+    taken = as_labels(labels)
+    if any(q not in op.qubit_labels for q in taken):
+        raise ValueError(f"{taken} is not a set of labels from {op.qubit_labels}")
+    return [op.qubit_labels.index(q) for q in taken]
+
+
 def partial_trace(op: HermitianOperator, keep: Iterable[int]) -> HermitianOperator:
     """Trace out every qubit not listed in keep; kept labels follow keep order."""
-    labels = op.qubit_labels
-    kept = tuple(int(q) for q in keep)
-    if len(set(kept)) != len(kept) or any(q not in labels for q in kept):
-        raise ValueError(f"keep={kept} is not a set of labels from {labels}")
-    n = len(labels)
-    pos = [labels.index(q) for q in kept]
+    n = op.n
+    pos = qubit_axes(op, keep)
     rest = [i for i in range(n) if i not in pos]
-    t = op.matrix.reshape((2,) * (2 * n))
     order = pos + rest
-    t = np.transpose(t, order + [n + i for i in order])
+    t = np.transpose(op.matrix.reshape((2,) * (2 * n)), order + [n + i for i in order])
     dk, dr = 2 ** len(pos), 2 ** len(rest)
     t = t.reshape(dk, dr, dk, dr)
-    return HermitianOperator(np.einsum("ajbj->ab", t), kept)
+    return HermitianOperator(np.einsum("ajbj->ab", t), [op.qubit_labels[i] for i in pos])
 
 
 def permute_qubits(op: HermitianOperator, new_labels: Sequence[int]) -> HermitianOperator:
     """Reorder tensor factors so the labels appear in new_labels order."""
-    labels = op.qubit_labels
-    new = tuple(int(q) for q in new_labels)
-    if sorted(new) != sorted(labels):
-        raise ValueError(f"{new} is not a permutation of {labels}")
-    n = len(labels)
-    pos = [labels.index(q) for q in new]
-    t = op.matrix.reshape((2,) * (2 * n))
-    t = np.transpose(t, pos + [n + i for i in pos])
+    n = op.n
+    pos = qubit_axes(op, new_labels)
+    new = [op.qubit_labels[i] for i in pos]
+    if len(new) != n:
+        raise ValueError(f"{new} is not a permutation of {op.qubit_labels}")
+    t = np.transpose(op.matrix.reshape((2,) * (2 * n)), pos + [n + i for i in pos])
     return HermitianOperator(t.reshape(op.dim, op.dim), new)

@@ -24,7 +24,9 @@ import numpy as np
 from .operators import (
     HermitianOperator,
     Povm,
-    basis_projector,
+    as_labels,
+    ideal_povm,
+    integer,
     kron,
     validate_povm,
 )
@@ -60,9 +62,9 @@ class NoiseSpec:
             if any(not 0.0 <= x <= 1.0 for x in fp):
                 raise ValueError(f"flip probabilities must lie in [0, 1], got {fp}")
             object.__setattr__(self, "flip_probs", fp)
-        pair = (int(self.pair[0]), int(self.pair[1]))
-        if pair[0] == pair[1]:
-            raise ValueError("pair must name two distinct qubits")
+        pair = as_labels(self.pair)
+        if len(pair) != 2:
+            raise ValueError(f"pair must name two qubits, got {pair}")
         object.__setattr__(self, "pair", pair)
 
 
@@ -77,10 +79,11 @@ def _local_flip_elements(n: int, flip: Sequence[float]) -> np.ndarray:
     return kron([singles[q, bits[:, q]] for q in range(n)])
 
 
-def _pair_positions(n: int, pair: tuple[int, int]) -> tuple[int, int]:
+def _pair_mask(n: int, pair: tuple[int, int]) -> int:
+    """The pair's bits in an outcome index, the first qubit most significant."""
     if not (0 <= pair[0] < n and 0 <= pair[1] < n):
         raise ValueError(f"pair {pair} is outside qubits 0..{n - 1}")
-    return pair
+    return (1 << (n - 1 - pair[0])) | (1 << (n - 1 - pair[1]))
 
 
 def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
@@ -91,7 +94,6 @@ def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
     """
     if n < 1:
         raise ValueError(f"need at least one qubit, got n={n}")
-    labels = tuple(range(n))
     flip = spec.flip_probs if spec.flip_probs is not None else (spec.p,) * n
     if len(flip) != n:
         raise ValueError(f"{len(flip)} flip probabilities given for n={n}")
@@ -101,24 +103,20 @@ def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
     elif spec.kind == "classical_corr":
         if n < 2:
             raise ValueError("classical_corr needs at least two qubits")
-        a, b = _pair_positions(n, spec.pair)
+        mask = _pair_mask(n, spec.pair)
         local = _local_flip_elements(n, flip)
         stacked = np.empty_like(local)
         for i in range(2**n):
-            flipped = i ^ (1 << (n - 1 - a)) ^ (1 << (n - 1 - b))
             proj = np.zeros((2**n, 2**n), dtype=complex)
             proj[i, i] = 0.5
-            proj[flipped, flipped] = 0.5
+            proj[i ^ mask, i ^ mask] = 0.5
             stacked[i] = (1.0 - spec.w) * local[i] + spec.w * proj
     else:
         if n < 2:
             raise ValueError("entangled noise needs at least two qubits")
-        a, b = _pair_positions(n, spec.pair)
+        conj = _pair_mask(n, spec.pair)
         d = 2**n
-        stacked = np.stack(
-            [basis_projector(format(i, f"0{n}b"), labels).matrix for i in range(d)]
-        )
-        conj = (1 << (n - 1 - a)) | (1 << (n - 1 - b))
+        stacked = np.stack([e.matrix for e in ideal_povm(n).elements])
         bell = np.zeros(d, dtype=complex)
         bell[0] = 1.0 / np.sqrt(2.0)
         bell[conj] = 1.0 / np.sqrt(2.0)
@@ -127,7 +125,7 @@ def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
         stacked[0] = (1.0 - spec.p) * p0 + spec.p * bell_proj
         stacked[conj] = stacked[conj] + spec.p * (p0 - bell_proj)
 
-    povm = Povm(tuple(HermitianOperator(m, labels) for m in stacked))
+    povm = Povm(tuple(HermitianOperator(m, range(n)) for m in stacked))
     report = validate_povm(povm, psd_tol=1e-10, completeness_tol=1e-10)
     if not report.ok:
         raise ValueError(
@@ -151,20 +149,20 @@ def sample_counts(
     by (seed, preparation index): the law of the counts of `shots`
     independent outcomes, at a cost set by the number of outcomes, not of
     shots.  Any preparation's counts are reproducible independently of the
-    others.  Zero counts are omitted from the document.  Shots run up to
-    2**63 - 1 and seeds up to 2**64 - 1, the largest numpy's sampler and
-    the Philox key hold.
+    others.  Zero counts are omitted from the document.  Shots and seed are
+    taken with operators.integer; shots run up to 2**63 - 1 and seeds up to
+    2**64 - 1, the largest numpy's sampler and the Philox key hold.
     """
     if povm.qubit_labels != preps.qubit_labels:
         raise ValueError(
             f"POVM acts on qubits {povm.qubit_labels}, preparations on {preps.qubit_labels}"
         )
-    shots = int(shots)
+    shots = integer(shots)
     if shots < 1:
         raise ValueError("shots must be positive")
     if shots > np.iinfo(np.int64).max:
         raise ValueError(f"shots must be at most 2**63 - 1, got {shots}")
-    seed = 0 if seed is None else int(seed)
+    seed = 0 if seed is None else integer(seed)
     if seed < 0:
         raise ValueError("seed must be non-negative")
     if seed > np.iinfo(np.uint64).max:

@@ -20,6 +20,8 @@ from .operators import (
     HermitianOperator,
     NumericalFailureError,
     Povm,
+    as_labels,
+    integer,
     kron,
     validate_povm,
 )
@@ -98,9 +100,7 @@ class PreparationSet:
     qubit_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        qubits = tuple(self.qubit_labels)
-        if len(set(qubits)) != len(qubits):
-            raise ValueError(f"duplicate qubit labels in {qubits}")
+        qubits = as_labels(self.qubit_labels)
         index = _label_index(self.labels, len(qubits))
         index.flags.writeable = False
         object.__setattr__(self, "labels", tuple(tuple(l) for l in self.labels))
@@ -402,12 +402,13 @@ def mle_reconstruct(
     Returns the reconstructed POVM and its diagnostics (MleDiagnostics); a
     run that hits max_iters is returned with converged=False rather than
     raised.
-    Raises ValueError, before any work, for epsilon outside (0, 1),
+    Raises, before any work, TypeError for a max_iters that is not an
+    integer (operators.integer), and ValueError for epsilon outside (0, 1),
     max_iters below 1, or a table that does not match the probe set.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
-    if max_iters < 1:
+    if (max_iters := integer(max_iters)) < 1:
         raise ValueError("max_iters must be positive")
     if freq.num_preparations != preps.num_states:
         raise ValueError(

@@ -67,6 +67,25 @@ def test_simulate_rejects_bad_pair(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("pair", ["0,+1", " 2 ,1_0", "0,0_1", "0,1.0", "0,\u0661", "0,", "0,0"])
+def test_simulate_reads_the_pair_as_partition_labels_are_read(pair, tmp_path, capsys):
+    code = run_cli(
+        "simulate", "--n", "3", "--noise", "entangled", "--p", "0.2",
+        "--pair", pair, "--out", str(tmp_path / "x.json"),
+    )
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_simulate_takes_spaces_around_pair_labels(tmp_path):
+    spaced, plain = tmp_path / "spaced.json", tmp_path / "plain.json"
+    for pair, out in ((" 0 , 2 ", spaced), ("0,2", plain)):
+        args = ("--n", "3", "--noise", "classical_corr", "--w", "0.3", "--shots", "16")
+        assert run_cli("simulate", *args, "--pair", pair, "--out", str(out)) == 0
+    assert spaced.read_bytes() == plain.read_bytes()
+
+
 def test_simulate_rejects_zero_shots(tmp_path, capsys):
     out = tmp_path / "x.json"
     code = run_cli(

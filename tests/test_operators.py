@@ -11,19 +11,26 @@ from detomo import (
     DimensionMismatchError,
     HermitianOperator,
     LabelConflictError,
+    NoiseSpec,
     NormalizedElement,
+    Partition,
     Povm,
+    PreparationSet,
     basis_projector,
+    bipartitions,
     born_probabilities,
+    default_partitions,
+    full_split,
     ideal_povm,
     normalize,
     partial_trace,
+    partial_transpose,
     permute_qubits,
     tensor,
     trace_distance,
     validate_povm,
 )
-from detomo.operators import kron
+from detomo.operators import kron, qubit_axes
 
 KET0 = basis_projector("0", (0,))
 KET1 = basis_projector("1", (0,))
@@ -264,3 +271,58 @@ def test_kron_equals_np_kron_chain_bitwise(shapes):
     else:
         expected = [functools.reduce(np.kron, [f[k] for f in factors]) for k in range(shapes[0][0])]
         assert np.array_equal(out, np.stack(expected))
+
+
+# ------------------------------------------------------------------ labels
+
+# Each entry point that takes qubit labels, called with label q in place of
+# qubit 1 of a register; each returns the labels it took, flattened.
+_OP2 = HermitianOperator(np.diag([0.4, 0.3, 0.2, 0.1]), (0, 1))
+_OP3 = HermitianOperator(np.diag(np.arange(1.0, 9.0)), (0, 1, 2))
+
+
+def _blocks(parts):
+    return tuple(q for p in parts for b in p.blocks for q in b)
+
+
+LABEL_ENTRY_POINTS = {
+    "HermitianOperator": lambda q: HermitianOperator(np.eye(4), (0, q)).qubit_labels,
+    "basis_projector": lambda q: basis_projector("01", (0, q)).qubit_labels,
+    "ideal_povm": lambda q: ideal_povm(2, (0, q)).qubit_labels,
+    "partial_trace": lambda q: partial_trace(_OP3, [2, q]).qubit_labels,
+    "permute_qubits": lambda q: permute_qubits(_OP2, (q, 0)).qubit_labels,
+    "partial_transpose": lambda q: partial_transpose(_OP2, [q]).qubit_labels,
+    "PreparationSet": lambda q: PreparationSet([("0", "+")], (0, q)).qubit_labels,
+    "NoiseSpec.pair": lambda q: NoiseSpec(kind="classical_corr", pair=(0, q)).pair,
+    "Partition": lambda q: _blocks([Partition(((0,), (q,)))]),
+    "full_split": lambda q: _blocks([full_split((0, q))]),
+    "bipartitions": lambda q: _blocks(bipartitions((0, q, 2))),
+    "default_partitions": lambda q: _blocks(default_partitions((0, q, 2))),
+}
+
+
+@pytest.mark.parametrize(
+    "label", [1.0, "1", True, np.bool_(True)], ids=["float", "str", "bool", "numpy-bool"]
+)
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_every_entry_point_refuses_a_label_that_is_not_an_integer(entry, label):
+    with pytest.raises(TypeError):
+        LABEL_ENTRY_POINTS[entry](label)
+
+
+@pytest.mark.parametrize("label", [np.int64(1), np.uint8(1)], ids=["int64", "uint8"])
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_every_entry_point_takes_a_numpy_integer_label_as_an_int(entry, label):
+    taken = LABEL_ENTRY_POINTS[entry](label)
+    assert taken == LABEL_ENTRY_POINTS[entry](1)
+    assert all(type(q) is int for q in taken)
+
+
+def test_qubit_axes_are_the_tensor_positions_of_distinct_labels_of_the_operator():
+    op = HermitianOperator(np.eye(8), (5, 2, 7))
+    assert qubit_axes(op, [7, 5]) == [2, 0]
+    assert qubit_axes(op, []) == []
+    with pytest.raises(LabelConflictError):
+        qubit_axes(op, [2, 2])
+    with pytest.raises(ValueError, match="not a set of labels"):
+        qubit_axes(op, [3])

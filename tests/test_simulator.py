@@ -36,6 +36,8 @@ def test_noise_spec_rejects_bad_parameters():
         NoiseSpec(kind="local_flip", flip_probs=(0.1, 2.0))
     with pytest.raises(ValueError):
         NoiseSpec(kind="entangled", pair=(1, 1))
+    with pytest.raises(ValueError):
+        NoiseSpec(kind="entangled", pair=(0, 1, 2))
 
 
 def test_make_noisy_povm_argument_checks():
@@ -193,6 +195,24 @@ def test_sample_counts_argument_checks():
     # same qubit count, other qubits: the document would name the wrong qubits
     with pytest.raises(ValueError):
         sample_counts(ideal_povm(2, (5, 6)), preps2, shots=4)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"shots": 2.7}, {"shots": 4, "seed": 1.9}, {"shots": True}, {"shots": 4, "seed": True},
+     {"shots": "4"}],
+    ids=["float-shots", "float-seed", "bool-shots", "bool-seed", "str-shots"],
+)
+def test_sample_counts_refuses_shots_and_seeds_that_are_not_integers(kwargs):
+    with pytest.raises(TypeError):
+        sample_counts(ideal_povm(2), mub_preparations(2), **kwargs)
+
+
+def test_sample_counts_takes_numpy_integer_shots_and_seeds():
+    povm, preps = make_noisy_povm(2, NoiseSpec(kind="local_flip", p=0.1)), mub_preparations(2)
+    doc = sample_counts(povm, preps, shots=np.int64(64), seed=np.uint64(5))
+    assert doc == sample_counts(povm, preps, shots=64, seed=5)
+    assert json.dumps(doc) == json.dumps(sample_counts(povm, preps, shots=64, seed=5))
 
 
 def _reference_counts(povm, preps, shots, seed):

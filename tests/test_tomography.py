@@ -254,6 +254,14 @@ def test_mle_reconstruct_checks_its_settings(monkeypatch):
             mle_reconstruct(freq, preps, **kwargs)
     with pytest.raises(ValueError, match="max_iters must be positive"):
         mle_reconstruct(freq, preps, max_iters=0)
+    # a cap that is not an integer would never equal an iteration count
+    monkeypatch.setattr(
+        "detomo.tomography._check_informationally_complete",
+        lambda preps: pytest.fail("max_iters was taken after the work began"),
+    )
+    for max_iters in (2.5, True, "3"):
+        with pytest.raises(TypeError):
+            mle_reconstruct(freq, preps, max_iters=max_iters)
     # the settings are keyword-only
     with pytest.raises(TypeError):
         mle_reconstruct(freq, preps, 1e-6)
@@ -379,6 +387,10 @@ def test_mle_flags_non_convergence_and_returns_best_iterate():
     assert not diag.converged
     assert diag.iterations == 3
     assert validate_ok(rec)
+    # a NumPy integer cap stops at the same step
+    rec_np, diag_np = mle_reconstruct(freq, preps, epsilon=1e-12, max_iters=np.int64(3))
+    assert (diag_np.iterations, diag_np.converged) == (3, False)
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(rec.elements, rec_np.elements))
 
 
 def validate_ok(povm):
