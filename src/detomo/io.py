@@ -129,7 +129,7 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
         raise SchemaError(f"{where}: dim must be an integer >= 2, got {clipped_repr(dim)}")
     if not (_is_finite_matrix(doc["re"], dim) and _is_finite_matrix(doc["im"], dim)):
         raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of finite numbers")
-    if not isinstance(labels, list) or any(not _is_int(q) for q in labels):
+    if not isinstance(labels, list) or any(not _is_int(label) for label in labels):
         raise SchemaError(f"{where}: labels must be a list of integers, got {clipped_repr(labels)}")
     if 2 ** len(labels) != dim:
         raise SchemaError(f"{where}: labels {clipped_repr(labels)} do not match dim {dim}")
@@ -215,7 +215,7 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
     if (
         not isinstance(qubits, list)
         or not qubits
-        or any(not _is_int(q) for q in qubits)
+        or any(not _is_int(label) for label in qubits)
         or len(set(qubits)) != len(qubits)
     ):
         raise SchemaError(
@@ -398,7 +398,7 @@ _PPT_ROW_FIELDS = {
 def _report_rows(doc: dict, kind: str, fields: dict) -> list[dict]:
     """The rows of a report document, after checking the keys and types read from it."""
     qubits = doc.get("qubits")
-    if not isinstance(qubits, list) or not all(_is_int(q) for q in qubits):
+    if not isinstance(qubits, list) or not all(_is_int(label) for label in qubits):
         raise SchemaError(
             f"{kind} report 'qubits' must be a list of integers, got {clipped_repr(qubits)}"
         )
