@@ -17,7 +17,7 @@ from pathlib import Path
 from . import io as dio
 from .crosstalk import Partition, analyze_povm
 from .entanglement import PPT_TOL, classify_povm
-from .operators import NumericalFailureError, parse_labels
+from .operators import MAX_QUBITS, NumericalFailureError, parse_labels
 from .simulator import NOISE_KINDS, NoiseSpec, make_noisy_povm, sample_counts
 from .tomography import mle_reconstruct, mub_preparations
 # not called here: perfbench/run.py wraps cli.log_likelihood by name in traced runs
@@ -56,7 +56,6 @@ def _second_output(out: str, path: str | None, flag: str, tag: str) -> str:
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = NoiseSpec(kind=args.noise, p=args.p, w=args.w, pair=parse_labels(args.pair))
     truth_out = _second_output(args.out, args.truth_out, "--truth-out", "truth")
-    # the probe set refuses n outside 1..4 before the 8**n-sized POVM is built
     preps = mub_preparations(args.n)
     povm = make_noisy_povm(args.n, spec)
     # written without save_counts' check: sample_counts' documents are valid by construction
@@ -189,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="sample counts from a synthetic noisy POVM")
-    sim.add_argument("--n", type=int, required=True, help="number of qubits (1..4)")
+    sim.add_argument("--n", type=int, required=True, help=f"number of qubits (1..{MAX_QUBITS})")
     sim.add_argument("--noise", choices=NOISE_KINDS, required=True)
     sim.add_argument("--p", type=float, default=0.0, help="flip probability / Bell weight")
     sim.add_argument("--w", type=float, default=0.0, help="correlated-flip weight")

@@ -69,9 +69,10 @@ class Partition:
         as_labels(q for b in blocks for q in b)  # no label in two blocks
         object.__setattr__(self, "blocks", blocks)
 
-    @property
-    def covered(self) -> frozenset[int]:
-        return frozenset(q for b in self.blocks for q in b)
+    def check_covers(self, qubit_labels: tuple[int, ...]) -> None:
+        """Refuse a partition whose blocks do not hold exactly these qubits."""
+        if {q for b in self.blocks for q in b} != set(qubit_labels):
+            raise ValueError(f"partition {self.label()} does not cover qubits {qubit_labels}")
 
     def label(self) -> str:
         parts = []
@@ -429,10 +430,7 @@ def fit_products(items: Sequence[tuple[NormalizedElement, Partition]]) -> list[P
     for elem, partition in items:
         if len(partition.blocks) < 2:
             raise ValueError("crosstalk queries need at least two blocks")
-        if partition.covered != frozenset(elem.qubit_labels):
-            raise ValueError(
-                f"partition {partition.label()} does not cover qubits {elem.qubit_labels}"
-            )
+        partition.check_covers(elem.qubit_labels)
 
     groups: dict[tuple[int, ...], list[int]] = {}  # item indices per block dims
     for k, (_, partition) in enumerate(items):

@@ -62,10 +62,7 @@ def nppt_test(
     """Partial transpose over the first block, then eigenvalue classification."""
     if len(bipartition.blocks) != 2:
         raise ValueError(f"need a two-block partition, got {bipartition.label()}")
-    if bipartition.covered != frozenset(elem.qubit_labels):
-        raise ValueError(
-            f"bipartition {bipartition.label()} does not cover qubits {elem.qubit_labels}"
-        )
+    bipartition.check_covers(elem.qubit_labels)
     _check_ppt_tol(ppt_tol)
     pt = partial_transpose(elem.op, bipartition.blocks[0])
     evals = pt.eigenvalues()

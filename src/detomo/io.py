@@ -32,14 +32,8 @@ import numpy as np
 
 from .crosstalk import DC_RESOLUTION, CrosstalkReport
 from .entanglement import PptReport
-from .operators import HermitianOperator, Povm
-from .tomography import (
-    MAX_QUBITS,
-    FrequencyTable,
-    MleDiagnostics,
-    PreparationSet,
-    clipped_repr,
-)
+from .operators import HermitianOperator, Povm, clipped_repr, outcome_index, outcomes, register_size
+from .tomography import FrequencyTable, MleDiagnostics, PreparationSet
 
 CROSSTALK_CSV_COLUMNS = (
     "qubits",
@@ -124,46 +118,37 @@ def operator_from_dict(doc: dict, where: str = "operator") -> HermitianOperator:
         if key not in doc:
             raise SchemaError(f"{where}: missing key {key!r}")
     dim = doc["dim"]
-    labels = doc["labels"]
     if not _is_int(dim) or dim < 2:
         raise SchemaError(f"{where}: dim must be an integer >= 2, got {clipped_repr(dim)}")
     if not (_is_finite_matrix(doc["re"], dim) and _is_finite_matrix(doc["im"], dim)):
         raise SchemaError(f"{where}: 're' and 'im' must be {dim}x{dim} lists of finite numbers")
-    if not isinstance(labels, list) or any(not _is_int(label) for label in labels):
-        raise SchemaError(f"{where}: labels must be a list of integers, got {clipped_repr(labels)}")
-    if 2 ** len(labels) != dim:
-        raise SchemaError(f"{where}: labels {clipped_repr(labels)} do not match dim {dim}")
     re = np.asarray(doc["re"], dtype=float)
     im = np.asarray(doc["im"], dtype=float)
-    try:
-        return HermitianOperator(re + 1j * im, tuple(labels))
-    except ValueError as exc:
+    try:  # HermitianOperator takes the labels by the one label rule, operators.as_labels
+        return HermitianOperator(re + 1j * im, tuple(doc["labels"]))
+    except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 
 def povm_to_dict(povm: Povm) -> dict:
     return {
         "n": povm.n,
-        "elements": {
-            outcome: operator_to_dict(povm.element(outcome)) for outcome in povm.outcomes
-        },
+        "elements": {o: operator_to_dict(e) for o, e in zip(povm.outcomes, povm.elements)},
     }
 
 
 def povm_from_dict(doc: dict) -> Povm:
     if not isinstance(doc, dict) or "n" not in doc or "elements" not in doc:
         raise SchemaError("POVM document needs keys 'n' and 'elements'")
-    n = doc["n"]
-    if not _is_int(n) or not 1 <= n <= MAX_QUBITS:
-        raise SchemaError(
-            f"POVM qubit count must be an integer in 1..{MAX_QUBITS}, got {clipped_repr(n)}"
-        )
+    try:
+        n = register_size(doc["n"])
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"POVM 'n': {exc}") from exc
     elements = doc["elements"]
     if not isinstance(elements, dict):
         raise SchemaError("POVM 'elements' must map outcome bitstrings to operators")
     ops = []
-    for i in range(2**n):
-        outcome = format(i, f"0{n}b")
+    for outcome in outcomes(n):
         if outcome not in elements:
             raise SchemaError(f"POVM document is missing element for outcome {outcome!r}")
         ops.append(operator_from_dict(elements[outcome], where=f"element {outcome!r}"))
@@ -214,19 +199,19 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
     qubits = doc.get("qubits")
     if (
         not isinstance(qubits, list)
-        or not qubits
         or any(not _is_int(label) for label in qubits)
         or len(set(qubits)) != len(qubits)
     ):
         raise SchemaError(
             f"counts 'qubits' must be a list of distinct integers, got {clipped_repr(qubits)}"
         )
-    if len(qubits) > MAX_QUBITS:
-        raise SchemaError(f"counts name {len(qubits)} qubits; supported registers have 1..{MAX_QUBITS}")
+    try:
+        n = register_size(len(qubits))
+    except ValueError as exc:
+        raise SchemaError(f"counts 'qubits': {exc}") from exc
     records = doc.get("preparations")
     if not isinstance(records, list) or not records:
         raise SchemaError("counts 'preparations' must be a nonempty list")
-    n = len(qubits)
     labels = []
     counts = np.zeros((2**n, len(records)), dtype=np.int64)
     shots = np.zeros(len(records), dtype=np.int64)
@@ -249,13 +234,13 @@ def counts_to_tables(doc: dict) -> tuple[PreparationSet, FrequencyTable]:
             raise SchemaError(f"{where}: 'counts' must map outcome bitstrings to counts")
         total = 0
         for key, value in rec_counts.items():
-            if len(key) != n or key.strip("01"):
-                raise SchemaError(
-                    f"{where}: outcome key {clipped_repr(key)} is not a {n}-bit string"
-                )
+            try:
+                i = outcome_index(key, n)
+            except ValueError as exc:
+                raise SchemaError(f"{where}: {exc}") from exc
             if not _is_int(value) or not 0 <= value <= _INT64_MAX:
                 raise SchemaError(f"{where}: count for {key!r} must be an integer in 0..2**63 - 1")
-            counts[int(key, 2), k] = value
+            counts[i, k] = value
             total += value
         if total != rec_shots:
             raise SchemaError(f"{where}: counts sum to {total} but 'shots' is {rec_shots}")

@@ -2,15 +2,17 @@
 
 Conventions used throughout the package: qubits carry distinct integer labels,
 taken by as_labels alone (a NumPy integer becomes an int; a float, string or
-bool is a TypeError); an outcome bitstring a1...an assigns a1 to the first
-label, the leftmost bit most significant in the Kronecker index; POVM elements
-are in lexicographic outcome order (index i <-> bitstring format(i, "0nb")).
+bool is a TypeError); a register's size is taken by register_size alone, the
+same way, in 1..MAX_QUBITS; an outcome bitstring a1...an assigns a1 to the
+first label, the leftmost bit most significant in the Kronecker index; POVM
+elements are in the order of outcomes(n), and outcome_index is the one parser.
 """
 
 from __future__ import annotations
 
 import functools
 import operator
+import reprlib
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +23,7 @@ COMPLETENESS_TOL = 1e-8
 TRACE_ONE_TOL = 1e-10
 DEGENERATE_TRACE = 1e-12
 _SKIP_TRACE = 1e-10
+MAX_QUBITS = 4
 
 
 class LabelConflictError(ValueError):
@@ -46,11 +49,34 @@ def integer(value) -> int:
     return operator.index(value)
 
 
+def clipped_repr(value: object) -> str:
+    """repr(value) for an error message, at most 60 characters: reprlib stops at a
+    few levels of nesting and items, so a huge input value is never rendered whole."""
+    text = reprlib.repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+def register_size(n) -> int:
+    """A qubit count, taken with integer, in 1..MAX_QUBITS."""
+    n = integer(n)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(
+            f"supported register sizes are 1..{MAX_QUBITS} qubits, got n={clipped_repr(n)}"
+        )
+    return n
+
+
+@functools.cache
+def outcomes(n: int) -> tuple[str, ...]:
+    """The 2**n outcome bitstrings of n qubits, in lexicographic order."""
+    return tuple(format(i, f"0{n}b") for i in range(2**n))
+
+
 def as_labels(qubit_labels: Iterable[int]) -> tuple[int, ...]:
     """Distinct qubit labels as a tuple of ints, each taken with integer."""
     labels = tuple(map(integer, qubit_labels))
     if len(set(labels)) != len(labels):
-        raise LabelConflictError(f"duplicate qubit labels: {labels}")
+        raise LabelConflictError(f"duplicate qubit labels: {clipped_repr(labels)}")
     return labels
 
 
@@ -179,8 +205,7 @@ class Povm:
 
     @property
     def outcomes(self) -> tuple[str, ...]:
-        n = self.n
-        return tuple(format(i, f"0{n}b") for i in range(2**n))
+        return outcomes(self.n)
 
     def element(self, outcome: str) -> HermitianOperator:
         return self.elements[outcome_index(outcome, self.n)]
@@ -229,8 +254,8 @@ class PovmValidation:
 
 def outcome_index(outcome: str, n: int) -> int:
     """Index of an outcome bitstring in lexicographic order."""
-    if len(outcome) != n or any(c not in "01" for c in outcome):
-        raise ValueError(f"outcome {outcome!r} is not a {n}-bit string")
+    if len(outcome) != n or outcome.strip("01"):
+        raise ValueError(f"outcome {clipped_repr(outcome)} is not a {n}-bit string")
     return int(outcome, 2)
 
 
@@ -296,12 +321,11 @@ def basis_projector(outcome: str, qubit_labels: Sequence[int]) -> HermitianOpera
 
 def ideal_povm(n: int, qubit_labels: Sequence[int] | None = None) -> Povm:
     """Projective computational-basis POVM on n qubits."""
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    n = register_size(n)
     labels = tuple(range(n)) if qubit_labels is None else as_labels(qubit_labels)
     if len(labels) != n:
         raise DimensionMismatchError(f"{len(labels)} labels given for n={n}")
-    return Povm(tuple(basis_projector(format(i, f"0{n}b"), labels) for i in range(2**n)))
+    return Povm(tuple(basis_projector(outcome, labels) for outcome in outcomes(n)))
 
 
 def born_probabilities(povm: Povm, state) -> np.ndarray:

@@ -16,6 +16,7 @@ Three noise families cover the interesting crosstalk regimes:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,11 +29,21 @@ from .operators import (
     ideal_povm,
     integer,
     kron,
+    register_size,
     validate_povm,
 )
 from .tomography import PreparationSet, born_matrix
 
 NOISE_KINDS = ("local_flip", "classical_corr", "entangled")
+
+
+def _probability(name: str, value) -> float:
+    """value as a float in [0, 1]: a real number, not a bool or string; NaN is out of range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -42,6 +53,7 @@ class NoiseSpec:
     p is the per-qubit flip probability for local_flip (flip_probs overrides
     it per qubit) and the Bell mixing weight for entangled; w is the
     correlated-flip weight for classical_corr, whose local part also uses p.
+    p, w and each flip_probs entry are real numbers in [0, 1], held as floats.
     """
 
     kind: str
@@ -53,14 +65,10 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        if not 0.0 <= self.p <= 1.0:
-            raise ValueError(f"p must lie in [0, 1], got {self.p}")
-        if not 0.0 <= self.w <= 1.0:
-            raise ValueError(f"w must lie in [0, 1], got {self.w}")
+        object.__setattr__(self, "p", _probability("p", self.p))
+        object.__setattr__(self, "w", _probability("w", self.w))
         if self.flip_probs is not None:
-            fp = tuple(float(x) for x in self.flip_probs)
-            if any(not 0.0 <= x <= 1.0 for x in fp):
-                raise ValueError(f"flip probabilities must lie in [0, 1], got {fp}")
+            fp = tuple(_probability(f"flip_probs[{q}]", x) for q, x in enumerate(self.flip_probs))
             object.__setattr__(self, "flip_probs", fp)
         pair = as_labels(self.pair)
         if len(pair) != 2:
@@ -89,20 +97,19 @@ def _pair_mask(n: int, pair: tuple[int, int]) -> int:
 def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
     """Construct the noisy POVM for a register of n qubits (labels 0..n-1).
 
-    The result is re-validated at tolerance 1e-10; parameters that leave the
-    POVM cone are rejected.
+    n is taken with register_size.  The result is re-validated at tolerance
+    1e-10; parameters that leave the POVM cone are rejected.
     """
-    if n < 1:
-        raise ValueError(f"need at least one qubit, got n={n}")
+    n = register_size(n)
     flip = spec.flip_probs if spec.flip_probs is not None else (spec.p,) * n
     if len(flip) != n:
         raise ValueError(f"{len(flip)} flip probabilities given for n={n}")
+    if spec.kind != "local_flip" and n < 2:
+        raise ValueError(f"{spec.kind} noise needs at least two qubits")
 
     if spec.kind == "local_flip":
         stacked = _local_flip_elements(n, flip)
     elif spec.kind == "classical_corr":
-        if n < 2:
-            raise ValueError("classical_corr needs at least two qubits")
         mask = _pair_mask(n, spec.pair)
         local = _local_flip_elements(n, flip)
         stacked = np.empty_like(local)
@@ -112,8 +119,6 @@ def make_noisy_povm(n: int, spec: NoiseSpec) -> Povm:
             proj[i ^ mask, i ^ mask] = 0.5
             stacked[i] = (1.0 - spec.w) * local[i] + spec.w * proj
     else:
-        if n < 2:
-            raise ValueError("entangled noise needs at least two qubits")
         conj = _pair_mask(n, spec.pair)
         d = 2**n
         stacked = np.stack([e.matrix for e in ideal_povm(n).elements])

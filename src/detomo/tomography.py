@@ -10,26 +10,26 @@ from __future__ import annotations
 
 import functools
 import itertools
-import reprlib
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .operators import (
+    MAX_QUBITS,
     HermitianOperator,
     NumericalFailureError,
     Povm,
     as_labels,
+    clipped_repr,
     integer,
     kron,
+    register_size,
     validate_povm,
 )
 from .optimize import lbfgs
 
 MUB_LABELS = ("0", "1", "+", "-", "+i", "-i")
-# Supported register sizes are 1..MAX_QUBITS qubits.
-MAX_QUBITS = 4
 
 # Single-qubit MUB kets in MUB_LABELS order.
 _MUB_KETS = np.array(
@@ -55,16 +55,6 @@ _FROBENIUS_MARGIN = 1e-6
 # Lower clips of Born probabilities and of normalization-operator eigenvalues.
 _PROB_FLOOR = 1e-12
 _EIG_FLOOR = 1e-12
-
-
-def clipped_repr(value: object) -> str:
-    """repr(value) for an error message, cut to at most 60 characters.
-
-    reprlib stops at a few levels of nesting and a few items per container,
-    so a huge or deeply nested input value is never rendered whole.
-    """
-    text = reprlib.repr(value)
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _label_index(label_tuples: Sequence[Sequence[str]], n: int) -> np.ndarray:
@@ -271,10 +261,9 @@ def mub_preparations(n: int) -> PreparationSet:
     """All 6**n products of single-qubit MUB states, in lexicographic label order.
 
     Overcomplete (6**n > 4**n conditions) but uses only local state
-    preparation. Guarded to n <= MAX_QUBITS.
+    preparation. n is taken with register_size.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"supported register sizes are 1..{MAX_QUBITS} qubits, got n={n}")
+    n = register_size(n)
     label_tuples = tuple(itertools.product(MUB_LABELS, repeat=n))
     return PreparationSet(label_tuples, tuple(range(n)))
 

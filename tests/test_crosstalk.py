@@ -297,7 +297,7 @@ def test_fit_product_is_deterministic():
 
 def test_fit_product_partition_must_cover_element():
     elem = classical_corr_element()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover qubits"):
         fit_product(elem, Partition(((0,), (2,))))
     with pytest.raises(ValueError):
         fit_product(elem, Partition(((0, 1),)))

@@ -14,6 +14,7 @@ from detomo import (
     bipartitions,
     classify_povm,
     ideal_povm,
+    normalize,
     nppt_test,
     partial_transpose,
     tensor,
@@ -137,8 +138,11 @@ def test_nppt_test_argument_validation():
     elem = werner(0.5)
     with pytest.raises(ValueError):
         nppt_test(elem, Partition(((0, 1),)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover qubits"):
         nppt_test(elem, Partition(((0,), (2,))))
+    # a cut of a three-qubit element that leaves qubit 2 out
+    with pytest.raises(ValueError, match=r"partition 0:1 does not cover qubits \(0, 1, 2\)"):
+        nppt_test(normalize(ideal_povm(3).elements[0]), Partition(((0,), (1,))))
     for tol in (0.0, -1e-7, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="ppt_tol"):
             nppt_test(elem, Partition(((0,), (1,))), ppt_tol=tol)

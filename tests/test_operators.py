@@ -22,6 +22,8 @@ from detomo import (
     default_partitions,
     full_split,
     ideal_povm,
+    make_noisy_povm,
+    mub_preparations,
     normalize,
     partial_trace,
     partial_transpose,
@@ -316,6 +318,40 @@ def test_every_entry_point_takes_a_numpy_integer_label_as_an_int(entry, label):
     taken = LABEL_ENTRY_POINTS[entry](label)
     assert taken == LABEL_ENTRY_POINTS[entry](1)
     assert all(type(q) is int for q in taken)
+
+
+# ----------------------------------------------------------- register sizes
+
+# Each entry point that takes a register size; each returns the size it built.
+REGISTER_ENTRY_POINTS = {
+    "ideal_povm": lambda n: ideal_povm(n).n,
+    "make_noisy_povm": lambda n: make_noisy_povm(n, NoiseSpec(kind="local_flip", p=0.1)).n,
+    "mub_preparations": lambda n: mub_preparations(n).n,
+}
+
+
+@pytest.mark.parametrize(
+    "n, expected",
+    [
+        (True, TypeError),
+        (2.0, TypeError),
+        ("2", TypeError),
+        (0, ValueError),
+        (5, ValueError),
+        (np.int64(2), 2),
+    ],
+    ids=["bool", "float", "str", "zero", "five", "int64"],
+)
+@pytest.mark.parametrize("entry", REGISTER_ENTRY_POINTS)
+def test_every_entry_point_takes_the_register_size_by_one_rule(entry, n, expected):
+    if expected is ValueError:
+        with pytest.raises(ValueError, match=f"supported register sizes are 1..4 qubits, got n={n}"):
+            REGISTER_ENTRY_POINTS[entry](n)
+    elif expected is TypeError:
+        with pytest.raises(TypeError):
+            REGISTER_ENTRY_POINTS[entry](n)
+    else:
+        assert REGISTER_ENTRY_POINTS[entry](n) == expected
 
 
 def test_qubit_axes_are_the_tensor_positions_of_distinct_labels_of_the_operator():

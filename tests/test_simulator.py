@@ -1,5 +1,6 @@
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -38,6 +39,40 @@ def test_noise_spec_rejects_bad_parameters():
         NoiseSpec(kind="entangled", pair=(1, 1))
     with pytest.raises(ValueError):
         NoiseSpec(kind="entangled", pair=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "field, value, name, error",
+    [
+        ("p", True, "p", TypeError),
+        ("p", "0.1", "p", TypeError),
+        ("w", np.bool_(True), "w", TypeError),
+        ("w", 0.5 + 0j, "w", TypeError),
+        ("flip_probs", ("0.1", 0.2), "flip_probs[0]", TypeError),
+        ("flip_probs", (0.1, True), "flip_probs[1]", TypeError),
+        ("p", float("nan"), "p", ValueError),
+        ("w", float("nan"), "w", ValueError),
+        ("flip_probs", (0.1, float("nan")), "flip_probs[1]", ValueError),
+    ],
+    ids=["p-bool", "p-str", "w-numpy-bool", "w-complex", "flip-str", "flip-bool",
+         "p-nan", "w-nan", "flip-nan"],
+)
+def test_noise_spec_takes_each_probability_as_a_real_number_in_the_unit_interval(
+    field, value, name, error
+):
+    with pytest.raises(error, match=f"^{re.escape(name)} must"):
+        NoiseSpec(kind="local_flip", **{field: value})
+
+
+def test_noise_spec_takes_numpy_probabilities_as_floats():
+    spec = NoiseSpec(kind="classical_corr", p=np.float64(0.1), w=np.float32(0.5),
+                     flip_probs=(np.float64(0.2), 1))
+    assert (spec.p, spec.w, spec.flip_probs) == (0.1, 0.5, (0.2, 1.0))
+    assert all(type(x) is float for x in (spec.p, spec.w, *spec.flip_probs))
+    plain = make_noisy_povm(2, NoiseSpec(kind="classical_corr", p=0.1, w=0.5))
+    numpy = make_noisy_povm(2, NoiseSpec(kind="classical_corr", p=np.float64(0.1), w=np.float64(0.5)))
+    for a, b in zip(plain.elements, numpy.elements):
+        assert np.array_equal(a.matrix, b.matrix)
 
 
 def test_make_noisy_povm_argument_checks():
