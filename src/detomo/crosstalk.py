@@ -25,6 +25,7 @@ from .operators import (
     Povm,
     as_labels,
     basis_projector,
+    finite_array,
     kron,
     parse_labels,
     partial_trace,
@@ -595,16 +596,17 @@ def mitigate_histogram(assignment: np.ndarray, observed: np.ndarray) -> np.ndarr
     factorized inversion is deliberately not used; it cannot represent
     correlated readout errors) and projects the solution onto the probability
     simplex.  A numerically singular assignment matrix falls back to the
-    pseudo-inverse with a warning.
+    pseudo-inverse with a warning.  Both arrays are taken with
+    operators.finite_array as real numbers.
     """
-    a = np.asarray(assignment, dtype=float)
-    b = np.asarray(observed, dtype=float)
+    a = finite_array(assignment, "assignment")
+    b = finite_array(observed, "observed")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"assignment matrix must be square, got shape {a.shape}")
     if b.shape != (a.shape[0],):
         raise ValueError(f"histogram length {b.shape} does not match matrix {a.shape}")
     cond = np.linalg.cond(a)
-    if not np.isfinite(cond) or cond > 1e12:
+    if cond > 1e12:
         warnings.warn(
             f"assignment matrix is ill-conditioned (cond={cond:.3e}); using pseudo-inverse",
             RuntimeWarning,

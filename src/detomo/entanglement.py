@@ -14,15 +14,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import HermitianOperator, NormalizedElement, Povm, qubit_axes
+from .operators import HermitianOperator, NormalizedElement, Povm, qubit_axes, real
 from .crosstalk import Partition, bipartitions
 
 PPT_TOL = 1e-7
-
-
-def _check_ppt_tol(ppt_tol: float) -> None:
-    if not (math.isfinite(ppt_tol) and ppt_tol > 0.0):
-        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
 
 
 def partial_transpose(op: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
@@ -59,11 +54,15 @@ class PptVerdict:
 def nppt_test(
     elem: NormalizedElement, bipartition: Partition, ppt_tol: float = PPT_TOL
 ) -> PptVerdict:
-    """Partial transpose over the first block, then eigenvalue classification."""
+    """Partial transpose over the first block, then eigenvalue classification.
+
+    ppt_tol is taken with operators.real and must be positive and finite.
+    """
     if len(bipartition.blocks) != 2:
         raise ValueError(f"need a two-block partition, got {bipartition.label()}")
     bipartition.check_covers(elem.qubit_labels)
-    _check_ppt_tol(ppt_tol)
+    if not 0.0 < (ppt_tol := real(ppt_tol, "ppt_tol")) < math.inf:
+        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
     pt = partial_transpose(elem.op, bipartition.blocks[0])
     evals = pt.eigenvalues()
     lo = float(evals[0])
@@ -104,8 +103,10 @@ class PptReport:
 
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
     """NPPT test of every element Povm.usable keeps across every bipartition;
-    the others (trace < 1e-10, or PSD only before normalizing) are skipped."""
-    _check_ppt_tol(ppt_tol)
+    the others (trace < 1e-10, or PSD only before normalizing) are skipped.
+    ppt_tol is taken as nppt_test takes it, also when no element is tested."""
+    if not 0.0 < (ppt_tol := real(ppt_tol, "ppt_tol")) < math.inf:
+        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
     usable, skipped = povm.usable
     cuts = bipartitions(povm.qubit_labels)
     rows = []

@@ -3,7 +3,12 @@
 Conventions used throughout the package: qubits carry distinct integer labels,
 taken by as_labels alone (a NumPy integer becomes an int; a float, string or
 bool is a TypeError); a register's size is taken by register_size alone, the
-same way, in 1..MAX_QUBITS; an outcome bitstring a1...an assigns a1 to the
+same way, in 1..MAX_QUBITS; a float parameter is taken by real alone (a NumPy
+float or integer becomes a float; a bool, string or complex value is a
+TypeError), and each caller then checks its own interval in a test that NaN
+fails; an array enters through finite_array alone, which refuses a dtype that
+is not numeric or that the target cannot hold (TypeError) and a NaN or
+infinite entry (ValueError); an outcome bitstring a1...an assigns a1 to the
 first label, the leftmost bit most significant in the Kronecker index; POVM
 elements are in the order of outcomes(n), and outcome_index is the one parser.
 """
@@ -11,6 +16,7 @@ elements are in the order of outcomes(n), and outcome_index is the one parser.
 from __future__ import annotations
 
 import functools
+import numbers
 import operator
 import reprlib
 from dataclasses import dataclass
@@ -47,6 +53,36 @@ def integer(value) -> int:
     if isinstance(value, bool):
         raise TypeError(f"expected an integer, not a bool: {value!r}")
     return operator.index(value)
+
+
+def real(value, name: str) -> float:
+    """value as a float: a real number (NumPy floats and integers too), not a bool.
+
+    Any other type, a string or complex value included, raises TypeError naming name.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a real number, got {clipped_repr(value)}")
+    return float(value)
+
+
+# The dtype kinds each target dtype of finite_array takes: no bool, string or object.
+_ARRAY_KINDS = {float: "iuf", complex: "iufc", np.int64: "iu"}
+
+
+def finite_array(values, name: str, dtype: type = float) -> np.ndarray:
+    """values as an array of dtype (float, complex or np.int64), every entry finite.
+
+    An array whose own dtype is not numeric, or that dtype cannot hold (a
+    complex array for float, a float array for np.int64), raises TypeError;
+    a NaN or infinite entry raises ValueError.  Both name name.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind not in _ARRAY_KINDS[dtype]:
+        raise TypeError(f"{name} must be an array of {dtype.__name__}, got dtype {array.dtype}")
+    array = np.asarray(array, dtype=dtype)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name} must be finite, got a NaN or infinite entry")
+    return array
 
 
 def clipped_repr(value: object) -> str:
@@ -96,15 +132,15 @@ def _hermitize(matrix: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """Hermitian matrix on a register of labeled qubits.
 
-    The matrix is symmetrized to (M + M^dag)/2 at construction and stored
-    read-only, so Hermiticity holds exactly from then on.
+    The matrix is taken with finite_array, symmetrized to (M + M^dag)/2 and
+    stored read-only, so Hermiticity holds exactly from then on.
     """
 
     matrix: np.ndarray
     qubit_labels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        m = np.asarray(self.matrix, dtype=complex)
+        m = finite_array(self.matrix, "matrix", complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DimensionMismatchError(f"expected a square matrix, got shape {m.shape}")
         labels = as_labels(self.qubit_labels)
@@ -331,9 +367,10 @@ def ideal_povm(n: int, qubit_labels: Sequence[int] | None = None) -> Povm:
 def born_probabilities(povm: Povm, state) -> np.ndarray:
     """Outcome probabilities tr[M_i rho] for a density matrix, in POVM order.
 
-    Tiny negative values from roundoff are clamped to zero.
+    A state that is not an operator is taken with finite_array.  Tiny
+    negative values from roundoff are clamped to zero.
     """
-    rho = state.matrix if hasattr(state, "matrix") else np.asarray(state, dtype=complex)
+    rho = state.matrix if hasattr(state, "matrix") else finite_array(state, "state", complex)
     if rho.shape != (povm.dim, povm.dim):
         raise DimensionMismatchError(f"state shape {rho.shape} does not match POVM dim {povm.dim}")
     stacked = np.stack([e.matrix for e in povm.elements])
@@ -344,7 +381,15 @@ def born_probabilities(povm: Povm, state) -> np.ndarray:
 def validate_povm(
     povm: Povm, psd_tol: float = PSD_TOL, completeness_tol: float = COMPLETENESS_TOL
 ) -> PovmValidation:
-    """Report positivity and completeness; never raises on physics violations."""
+    """Report positivity and completeness; never raises on physics violations.
+
+    Each tolerance is taken with real and must be non-negative.
+    """
+    psd_tol = real(psd_tol, "psd_tol")
+    completeness_tol = real(completeness_tol, "completeness_tol")
+    for name, tol in (("psd_tol", psd_tol), ("completeness_tol", completeness_tol)):
+        if not tol >= 0.0:
+            raise ValueError(f"{name} must be non-negative, got {tol}")
     mins = tuple(e.min_eigenvalue() for e in povm.elements)
     total = sum(e.matrix for e in povm.elements)
     residual = float(np.abs(total - np.eye(povm.dim)).max())

@@ -16,7 +16,6 @@ Three noise families cover the interesting crosstalk regimes:
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,21 +28,13 @@ from .operators import (
     ideal_povm,
     integer,
     kron,
+    real,
     register_size,
     validate_povm,
 )
 from .tomography import PreparationSet, born_matrix
 
 NOISE_KINDS = ("local_flip", "classical_corr", "entangled")
-
-
-def _probability(name: str, value) -> float:
-    """value as a float in [0, 1]: a real number, not a bool or string; NaN is out of range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise TypeError(f"{name} must be a real number, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{name} must lie in [0, 1], got {value}")
-    return float(value)
 
 
 @dataclass(frozen=True)
@@ -53,7 +44,8 @@ class NoiseSpec:
     p is the per-qubit flip probability for local_flip (flip_probs overrides
     it per qubit) and the Bell mixing weight for entangled; w is the
     correlated-flip weight for classical_corr, whose local part also uses p.
-    p, w and each flip_probs entry are real numbers in [0, 1], held as floats.
+    p, w and each flip_probs entry are taken with operators.real and must
+    lie in [0, 1]; they are held as floats.
     """
 
     kind: str
@@ -65,11 +57,17 @@ class NoiseSpec:
     def __post_init__(self) -> None:
         if self.kind not in NOISE_KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {NOISE_KINDS}")
-        object.__setattr__(self, "p", _probability("p", self.p))
-        object.__setattr__(self, "w", _probability("w", self.w))
+        probs = {"p": self.p, "w": self.w}
         if self.flip_probs is not None:
-            fp = tuple(_probability(f"flip_probs[{q}]", x) for q, x in enumerate(self.flip_probs))
-            object.__setattr__(self, "flip_probs", fp)
+            probs |= {f"flip_probs[{q}]": x for q, x in enumerate(self.flip_probs)}
+        for name, value in probs.items():
+            probs[name] = value = real(value, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        object.__setattr__(self, "p", probs.pop("p"))
+        object.__setattr__(self, "w", probs.pop("w"))
+        if self.flip_probs is not None:
+            object.__setattr__(self, "flip_probs", tuple(probs.values()))
         pair = as_labels(self.pair)
         if len(pair) != 2:
             raise ValueError(f"pair must name two qubits, got {pair}")

@@ -16,14 +16,15 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (
-    MAX_QUBITS,
     HermitianOperator,
     NumericalFailureError,
     Povm,
     as_labels,
     clipped_repr,
+    finite_array,
     integer,
     kron,
+    real,
     register_size,
     validate_povm,
 )
@@ -39,11 +40,6 @@ _MUB_KETS[2:] /= np.sqrt(2.0)
 _MUB_INDEX = {label: j for j, label in enumerate(MUB_LABELS)}
 # _MUB_MAP[(s, t), j] = <t|j><j|s>, so tr(X |j><j|) = sum_st X[s, t] _MUB_MAP[(s, t), j].
 _MUB_MAP = np.einsum("jt,js->stj", _MUB_KETS, _MUB_KETS.conj()).reshape(4, 6)
-# Pauli coordinates (tr ρ, tr ρX, tr ρY, tr ρZ) of the MUB states in MUB_LABELS order.
-_MUB_BLOCH = np.array(
-    [[1, 0, 0, 1], [1, 0, 0, -1], [1, 1, 0, 0], [1, -1, 0, 0], [1, 0, 1, 0], [1, 0, -1, 0]],
-    dtype=float,
-)
 
 _FREQ_COLUMN_TOL = 1e-12
 # The MLE takes the exact spectra of a step (its delta and smallest
@@ -193,14 +189,20 @@ def born_matrix(povm: Povm, preps: PreparationSet) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FrequencyTable:
-    """Relative outcome frequencies, one column per preparation."""
+    """Relative outcome frequencies, one column per preparation.
+
+    Both arrays are taken with operators.finite_array: the frequencies as
+    real numbers (a complex array is a TypeError, a NaN or infinite entry a
+    ValueError), and the shots, like the counts of from_counts, as an
+    integer array (a float or bool array is a TypeError).
+    """
 
     frequencies: np.ndarray
     shots: np.ndarray
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.frequencies, dtype=float)
-        shots = np.asarray(self.shots, dtype=np.int64)
+        f = finite_array(self.frequencies, "frequencies")
+        shots = finite_array(self.shots, "shots", np.int64)
         if f.ndim != 2:
             raise ValueError(f"frequencies must be 2-d, got shape {f.shape}")
         if shots.shape != (f.shape[1],):
@@ -222,8 +224,8 @@ class FrequencyTable:
 
     @classmethod
     def from_counts(cls, counts: np.ndarray, shots: np.ndarray) -> "FrequencyTable":
-        counts = np.asarray(counts, dtype=np.int64)
-        shots = np.asarray(shots, dtype=np.int64)
+        counts = finite_array(counts, "counts", np.int64)
+        shots = finite_array(shots, "shots", np.int64)
         return cls(counts / shots[None, :], shots)
 
     @property
@@ -288,11 +290,12 @@ def _log_likelihood(f: np.ndarray, p: np.ndarray) -> float:
 def _operator_rank(preps: PreparationSet) -> int:
     """Dimension of the real span of the preparation states.
 
-    Products of Paulis are a real basis of the Hermitian operators, so this
-    is the rank of the states' Pauli coordinates (K, 4**n), each row a
-    product of its qubits' MUB Pauli coordinates.
+    Hermitian operators are linearly independent over the reals exactly when
+    they are over the complex numbers, so this is the complex rank of the
+    states' entries (K, 4**n), each row a product of its qubits' _MUB_MAP
+    columns.
     """
-    rows = kron([_MUB_BLOCH[preps.index[:, q], None, :] for q in range(preps.n)])
+    rows = kron([_MUB_MAP.T[preps.index[:, q], None, :] for q in range(preps.n)])
     return int(np.linalg.matrix_rank(rows[:, 0, :]))
 
 
@@ -300,8 +303,8 @@ def _check_informationally_complete(preps: PreparationSet) -> None:
     """Refuse probes that do not span the Hermitian operators.
 
     A probe set with every cell of the label grid is complete without a rank:
-    the six MUB Bloch rows span R^4, so the grid's rows, the n-fold Kronecker
-    product of those rows, span all 4**n Pauli coordinates.
+    the six columns of _MUB_MAP span C^4, so the grid's rows, the n-fold
+    Kronecker products of those columns, span all 4**n entries.
     """
     d = preps.dim
     k = preps.num_states
@@ -392,10 +395,11 @@ def mle_reconstruct(
     run that hits max_iters is returned with converged=False rather than
     raised.
     Raises, before any work, TypeError for a max_iters that is not an
-    integer (operators.integer), and ValueError for epsilon outside (0, 1),
+    integer (operators.integer) or an epsilon that is not a real number
+    (operators.real), and ValueError for epsilon outside (0, 1),
     max_iters below 1, or a table that does not match the probe set.
     """
-    if not 0.0 < epsilon < 1.0:
+    if not 0.0 < (epsilon := real(epsilon, "epsilon")) < 1.0:
         raise ValueError("epsilon must lie in (0, 1)")
     if (max_iters := integer(max_iters)) < 1:
         raise ValueError("max_iters must be positive")

@@ -823,6 +823,20 @@ def test_mitigate_histogram_warns_on_singular_matrix():
     assert out.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_mitigate_histogram_refuses_non_finite_input():
+    with pytest.raises(ValueError, match="^observed must be finite"):
+        mitigate_histogram(np.eye(2), np.array([np.nan, 1.0]))
+    with pytest.raises(ValueError, match="^assignment must be finite"):
+        mitigate_histogram(np.array([[1.0, np.nan], [0.0, 1.0]]), np.array([0.5, 0.5]))
+
+
+def test_mitigate_histogram_warns_on_the_zero_matrix():
+    # numpy's cond of a finite singular matrix is inf, never NaN
+    with pytest.warns(RuntimeWarning, match="ill-conditioned"):
+        out = mitigate_histogram(np.zeros((2, 2)), np.array([0.6, 0.4]))
+    assert out.sum() == pytest.approx(1.0, abs=1e-12)
+
+
 def test_mitigate_histogram_shape_checks():
     with pytest.raises(ValueError):
         mitigate_histogram(np.ones((2, 3)), np.ones(2))

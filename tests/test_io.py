@@ -44,6 +44,7 @@ from detomo import (
     write_ppt_json,
 )
 from detomo.cli import main as cli_main
+from detomo.io import load_ppt_report
 
 
 # ---------------------------------------------------------------- operators
@@ -366,6 +367,17 @@ def test_configuration_echoes_are_written_as_given(tmp_path):
     pdoc = json.loads((tmp_path / "p.json").read_text())
     assert pdoc["ppt_tol"] == ppt_tol
     assert xdoc["metadata"] == meta and pdoc["metadata"] == meta
+
+
+@pytest.mark.parametrize(
+    "tol", [1e-7, np.float64(1e-7), np.float32(1e-3), 1, np.int64(2)],
+    ids=["float", "float64", "float32", "int", "int64"],
+)
+def test_a_ppt_report_written_with_any_accepted_ppt_tol_loads(tmp_path, tol):
+    report = classify_povm(ideal_povm(2), ppt_tol=tol)
+    assert type(report.ppt_tol) is float and report.ppt_tol == float(tol)
+    write_ppt_json(report, tmp_path / "p.json")
+    assert load_ppt_report(tmp_path / "p.json")["ppt_tol"] == float(tol)
 
 
 def test_cli_reconstruct_writes_povm_on_grid(tmp_path):

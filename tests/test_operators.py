@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from conftest import random_element
 from detomo import (
     DegenerateElementError,
     DimensionMismatchError,
+    FrequencyTable,
     HermitianOperator,
     LabelConflictError,
     NoiseSpec,
@@ -19,12 +21,15 @@ from detomo import (
     basis_projector,
     bipartitions,
     born_probabilities,
+    classify_povm,
     default_partitions,
     full_split,
     ideal_povm,
     make_noisy_povm,
+    mle_reconstruct,
     mub_preparations,
     normalize,
+    nppt_test,
     partial_trace,
     partial_transpose,
     permute_qubits,
@@ -58,6 +63,21 @@ def test_hermitian_operator_rejects_bad_shapes():
         HermitianOperator(np.ones((2, 3)), (0,))
     with pytest.raises(LabelConflictError):
         HermitianOperator(np.eye(4), (0, 0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+def test_hermitian_operator_refuses_a_non_finite_entry(bad):
+    m = np.eye(4, dtype=complex)
+    m[1, 2] = bad
+    with pytest.raises(ValueError, match="^matrix must be finite"):
+        HermitianOperator(m, (0, 1))
+
+
+def test_hermitian_operator_refuses_a_matrix_that_is_not_numeric():
+    with pytest.raises(TypeError, match="^matrix must be an array of complex"):
+        HermitianOperator(np.eye(2, dtype=bool), (0,))
+    with pytest.raises(TypeError, match="^matrix must be an array of complex"):
+        HermitianOperator(np.array([["1", "0"], ["0", "1"]]), (0,))
 
 
 def test_tensor_of_basis_projectors():
@@ -185,6 +205,12 @@ def test_born_probabilities_sum_to_one(seed, n):
     p = born_probabilities(ideal_povm(n), random_element(n, rng))
     assert p.min() >= 0.0
     assert abs(p.sum() - 1.0) <= 1e-9
+
+
+def test_born_probabilities_refuses_a_non_finite_state():
+    rho = np.diag([0.5, np.nan])
+    with pytest.raises(ValueError, match="^state must be finite"):
+        born_probabilities(ideal_povm(1), rho)
 
 
 def test_validate_povm_flags_scaled_element():
@@ -362,3 +388,61 @@ def test_qubit_axes_are_the_tensor_positions_of_distinct_labels_of_the_operator(
         qubit_axes(op, [2, 2])
     with pytest.raises(ValueError, match="not a set of labels"):
         qubit_axes(op, [3])
+
+
+# ------------------------------------------------------------- real numbers
+
+_PREPS1 = mub_preparations(1)
+_FREQ1 = FrequencyTable(np.full((2, 6), 0.5), np.full(6, 100))
+_ELEM2 = normalize(ideal_povm(2).elements[0])
+
+# Each float parameter, as (the name its errors give, a call that passes it x).
+REAL_PARAMETERS = {
+    "NoiseSpec.p": ("p", lambda x: NoiseSpec(kind="local_flip", p=x)),
+    "NoiseSpec.w": ("w", lambda x: NoiseSpec(kind="classical_corr", w=x)),
+    "NoiseSpec.flip_probs": (
+        "flip_probs[1]", lambda x: NoiseSpec(kind="local_flip", flip_probs=(0.1, x))
+    ),
+    "mle_reconstruct.epsilon": (
+        "epsilon", lambda x: mle_reconstruct(_FREQ1, _PREPS1, epsilon=x, max_iters=1)
+    ),
+    "classify_povm.ppt_tol": ("ppt_tol", lambda x: classify_povm(ideal_povm(2), ppt_tol=x)),
+    "nppt_test.ppt_tol": (
+        "ppt_tol", lambda x: nppt_test(_ELEM2, Partition(((0,), (1,))), ppt_tol=x)
+    ),
+    "validate_povm.psd_tol": ("psd_tol", lambda x: validate_povm(ideal_povm(1), psd_tol=x)),
+    "validate_povm.completeness_tol": (
+        "completeness_tol", lambda x: validate_povm(ideal_povm(1), completeness_tol=x)
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "value, error",
+    [
+        (True, TypeError),
+        (np.True_, TypeError),
+        ("0.1", TypeError),
+        (0.5 + 0j, TypeError),
+        (float("nan"), ValueError),
+    ],
+    ids=["bool", "numpy-bool", "str", "complex", "nan"],
+)
+@pytest.mark.parametrize("parameter", REAL_PARAMETERS)
+def test_every_float_parameter_takes_a_real_number_by_one_rule(parameter, value, error):
+    name, call = REAL_PARAMETERS[parameter]
+    with pytest.raises(error, match=f"^{re.escape(name)} must"):
+        call(value)
+
+
+@pytest.mark.parametrize("tol", [-1e-9, -np.inf])
+def test_validate_povm_refuses_a_negative_tolerance(tol):
+    for kwargs in ({"psd_tol": tol}, {"completeness_tol": tol}):
+        with pytest.raises(ValueError, match="must be non-negative"):
+            validate_povm(ideal_povm(1), **kwargs)
+
+
+def test_validate_povm_holds_numpy_tolerances_as_floats():
+    report = validate_povm(ideal_povm(1), psd_tol=np.float32(0.5), completeness_tol=np.int64(0))
+    assert (report.psd_tol, report.completeness_tol) == (0.5, 0.0)
+    assert type(report.psd_tol) is float and type(report.completeness_tol) is float

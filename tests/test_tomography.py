@@ -244,6 +244,44 @@ def test_frequency_table_from_counts():
     np.testing.assert_allclose(table.frequencies[:, 0], [0.75, 0.25])
 
 
+@pytest.mark.parametrize(
+    "frequencies, shots, error, match",
+    [
+        ([[np.nan], [1.0]], [100], ValueError, "^frequencies must be finite"),
+        ([[np.inf], [0.0]], [100], ValueError, "^frequencies must be finite"),
+        ([[0.5 + 0j], [0.5]], [100], TypeError, "^frequencies must be an array of float"),
+        ([[0.5], [0.5]], [100.7], TypeError, "^shots must be an array of int64"),
+        ([[0.5], [0.5]], [True], TypeError, "^shots must be an array of int64"),
+    ],
+    ids=["nan", "inf", "complex", "float-shots", "bool-shots"],
+)
+def test_frequency_table_refuses_what_is_not_a_finite_table(frequencies, shots, error, match):
+    with pytest.raises(error, match=match):
+        FrequencyTable(np.array(frequencies), np.array(shots))
+
+
+def test_frequency_table_from_counts_takes_integer_arrays():
+    with pytest.raises(TypeError, match="^counts must be an array of int64"):
+        FrequencyTable.from_counts(np.array([[3.0], [1.0]]), np.array([4]))
+    with pytest.raises(TypeError, match="^shots must be an array of int64"):
+        FrequencyTable.from_counts(np.array([[3], [1]]), np.array([4.0]))
+    table = FrequencyTable.from_counts(np.array([[3], [1]], dtype=np.uint8), [np.int32(4)])
+    assert table.shots.dtype == np.int64 and table.shots.tolist() == [4]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_operator_rank_is_the_dimension_of_the_real_span_of_the_states(n):
+    # oracle: the rank of the dense states' real and imaginary parts side by side
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        k = int(rng.integers(1, 4**n + 4))
+        labels = [tuple(rng.choice(MUB_LABELS, size=n)) for _ in range(k)]
+        preps = PreparationSet(labels, tuple(range(n)))
+        v = dense_states(preps).reshape(k, -1)
+        expected = np.linalg.matrix_rank(np.hstack([v.real, v.imag]))
+        assert tomography._operator_rank(preps) == expected
+
+
 def test_mle_reconstruct_checks_its_settings(monkeypatch):
     preps = mub_preparations(1)
     freq = exact_frequency_table(ideal_povm(1), preps)
