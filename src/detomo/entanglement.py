@@ -20,6 +20,16 @@ from .crosstalk import Partition, bipartitions
 PPT_TOL = 1e-7
 
 
+def ppt_tolerance(value) -> float:
+    """A partial-transpose tolerance: taken with operators.real, positive and finite.
+
+    The one ppt_tol rule, for nppt_test, classify_povm and io.load_ppt_report.
+    """
+    if not 0.0 < (tol := real(value, "ppt_tol")) < math.inf:
+        raise ValueError(f"ppt_tol must be positive and finite, got {tol}")
+    return tol
+
+
 def partial_transpose(op: HermitianOperator, block: Sequence[int]) -> HermitianOperator:
     """Transpose the tensor indices of the given qubits; trace is untouched."""
     n = op.n
@@ -56,13 +66,12 @@ def nppt_test(
 ) -> PptVerdict:
     """Partial transpose over the first block, then eigenvalue classification.
 
-    ppt_tol is taken with operators.real and must be positive and finite.
+    ppt_tol is taken with ppt_tolerance.
     """
     if len(bipartition.blocks) != 2:
         raise ValueError(f"need a two-block partition, got {bipartition.label()}")
     bipartition.check_covers(elem.qubit_labels)
-    if not 0.0 < (ppt_tol := real(ppt_tol, "ppt_tol")) < math.inf:
-        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
+    ppt_tol = ppt_tolerance(ppt_tol)
     pt = partial_transpose(elem.op, bipartition.blocks[0])
     evals = pt.eigenvalues()
     lo = float(evals[0])
@@ -104,9 +113,8 @@ class PptReport:
 def classify_povm(povm: Povm, ppt_tol: float = PPT_TOL) -> PptReport:
     """NPPT test of every element Povm.usable keeps across every bipartition;
     the others (trace < 1e-10, or PSD only before normalizing) are skipped.
-    ppt_tol is taken as nppt_test takes it, also when no element is tested."""
-    if not 0.0 < (ppt_tol := real(ppt_tol, "ppt_tol")) < math.inf:
-        raise ValueError(f"ppt_tol must be positive and finite, got {ppt_tol}")
+    ppt_tol is taken with ppt_tolerance, also when no element is tested."""
+    ppt_tol = ppt_tolerance(ppt_tol)
     usable, skipped = povm.usable
     cuts = bipartitions(povm.qubit_labels)
     rows = []

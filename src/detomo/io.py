@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .crosstalk import DC_RESOLUTION, CrosstalkReport
-from .entanglement import PptReport
+from .entanglement import PptReport, ppt_tolerance
 from .operators import HermitianOperator, Povm, clipped_repr, outcome_index, outcomes, register_size
 from .tomography import FrequencyTable, MleDiagnostics, PreparationSet
 
@@ -415,11 +415,13 @@ def load_crosstalk_report(path: str | Path) -> dict:
 
 
 def load_ppt_report(path: str | Path) -> dict:
-    """A PPT report JSON document whose rows form a full outcome x bipartition grid."""
+    """A PPT report JSON document whose rows form a full outcome x bipartition grid
+    and whose ppt_tol entanglement.ppt_tolerance accepts."""
     doc = _load_json(path)
-    tol = doc.get("ppt_tol")
-    if not _is_finite(tol):
-        raise SchemaError(f"ppt report 'ppt_tol' must be a finite number, got {clipped_repr(tol)}")
+    try:
+        ppt_tolerance(doc.get("ppt_tol"))
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"ppt report: {exc}") from exc
     rows = _report_rows(doc, "ppt", _PPT_ROW_FIELDS)
     cells = {(r["outcome"], r["bipartition"]) for r in rows}
     outcomes = {o for o, _ in cells}

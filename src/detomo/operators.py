@@ -5,12 +5,13 @@ taken by as_labels alone (a NumPy integer becomes an int; a float, string or
 bool is a TypeError); a register's size is taken by register_size alone, the
 same way, in 1..MAX_QUBITS; a float parameter is taken by real alone (a NumPy
 float or integer becomes a float; a bool, string or complex value is a
-TypeError), and each caller then checks its own interval in a test that NaN
-fails; an array enters through finite_array alone, which refuses a dtype that
-is not numeric or that the target cannot hold (TypeError) and a NaN or
-infinite entry (ValueError); an outcome bitstring a1...an assigns a1 to the
-first label, the leftmost bit most significant in the Kronecker index; POVM
-elements are in the order of outcomes(n), and outcome_index is the one parser.
+TypeError, an integer past the float range a ValueError), and each caller
+then checks its own interval in a test that NaN fails; an array enters
+through finite_array alone, which refuses a dtype that is not numeric or that
+the target cannot hold (TypeError) and a NaN or infinite entry (ValueError);
+an outcome bitstring a1...an assigns a1 to the first label, the leftmost bit
+most significant in the Kronecker index; POVM elements are in the order of
+outcomes(n), and outcome_index is the one parser.
 """
 
 from __future__ import annotations
@@ -58,11 +59,17 @@ def integer(value) -> int:
 def real(value, name: str) -> float:
     """value as a float: a real number (NumPy floats and integers too), not a bool.
 
-    Any other type, a string or complex value included, raises TypeError naming name.
+    Any other type, a string or complex value included, raises TypeError naming
+    name; an integer past the float range raises ValueError naming name.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise TypeError(f"{name} must be a real number, got {clipped_repr(value)}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValueError(
+            f"{name} must be within the float range, got {clipped_repr(value)}"
+        ) from None
 
 
 # The dtype kinds each target dtype of finite_array takes: no bool, string or object.

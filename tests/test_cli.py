@@ -517,6 +517,37 @@ def test_analyze_rejects_non_finite_ppt_tol(tmp_path, capsys, tol):
     assert list(tmp_path.iterdir()) == []
 
 
+def _row(path: str, **cell) -> dict:
+    """The one row of a report JSON file whose keys hold the given values."""
+    rows = json.loads(Path(path).read_text())["rows"]
+    (row,) = [r for r in rows if all(r[k] == v for k, v in cell.items())]
+    return row
+
+
+# The exact n=2 all-zeros element at both noise endpoints and midway: the fit and
+# the PPT test run on it with RuntimeWarnings as errors (pyproject.toml).
+@pytest.mark.parametrize("x", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("kind, flag", [("entangled", "--p"), ("classical_corr", "--w")])
+def test_analyze_of_the_truth_povm_gives_the_closed_forms(tmp_path, kind, flag, x):
+    counts, truth, out = (str(tmp_path / name) for name in ("c.json", "t.json", "r"))
+    assert run_cli(
+        "simulate", "--n", "2", "--noise", kind, flag, str(x), "--shots", "1",
+        "--out", counts, "--truth-out", truth,
+    ) == 0
+    assert run_cli("analyze", "--povm", truth, "--out", out, "--format", "json") == 0
+    crosstalk = _row(f"{out}.crosstalk.json", outcome="00", partition="0:1")
+    ppt = _row(f"{out}.ppt.json", outcome="00", bipartition="0:1")
+    if kind == "entangled":
+        assert ppt["min_eigenvalue"] == pytest.approx(-x / 2, abs=1e-10)
+        assert crosstalk["D_N"] == pytest.approx(x / np.sqrt(2), abs=1e-10)
+        assert ppt["verdict"] == ("N" if x > 0 else "P")
+    else:
+        assert crosstalk["D_N"] == pytest.approx(x / 2, abs=1e-10)
+        assert ppt["verdict"] == "P"
+        if x == 1.0:
+            assert abs(crosstalk["D_C"] - (np.sqrt(2) - 1)) < 1e-9
+
+
 def test_analyze_rejects_removed_fit_flags(tmp_path):
     povm_path = tmp_path / "ideal.json"
     save_povm(ideal_povm(2), povm_path)
@@ -664,6 +695,14 @@ def test_report_writes_file_when_asked(tmp_path, capsys):
     assert run_cli("report", "--crosstalk", str(xpath), "--out", str(out)) == 0
     assert "partition 0:1" in out.read_text()
     assert f"wrote {out}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tol", [0, -0.0, -1.0, 10**400], ids=["0", "-0.0", "-1.0", "10**400"])
+def test_report_refuses_a_ppt_tol_that_analyze_would_refuse(tmp_path, capsys, tol):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({**PPT_DOC, "ppt_tol": tol}))
+    assert run_cli("report", "--ppt", str(path)) == 3
+    assert "ppt_tol must be" in capsys.readouterr().err
 
 
 def test_report_without_inputs_is_usage_error(capsys):

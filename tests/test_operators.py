@@ -425,8 +425,10 @@ REAL_PARAMETERS = {
         ("0.1", TypeError),
         (0.5 + 0j, TypeError),
         (float("nan"), ValueError),
+        (10**400, ValueError),
+        (-(10**400), ValueError),
     ],
-    ids=["bool", "numpy-bool", "str", "complex", "nan"],
+    ids=["bool", "numpy-bool", "str", "complex", "nan", "huge-int", "huge-negative-int"],
 )
 @pytest.mark.parametrize("parameter", REAL_PARAMETERS)
 def test_every_float_parameter_takes_a_real_number_by_one_rule(parameter, value, error):
